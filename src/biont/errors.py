@@ -50,7 +50,8 @@ class CrossOntologyPair(DataError):
 
 
 class MalformedLine(DataError):
-    """Bad record line in a tabular file (GAF, lexicon, cross-reference, vectors)."""
+    """Bad record line in a tabular or JSON-lines file (GAF, lexicon,
+    cross-reference, vectors, instances)."""
 
 
 # --- corpora ----------------------------------------------------------------

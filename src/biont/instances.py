@@ -10,7 +10,7 @@ ancestors when the pair shares an entity type).
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, TextIO
 
@@ -346,7 +346,8 @@ class EntityResolver:
     kb ids that already resolve in the target graph are used directly;
     otherwise the namespace's cross-reference table is consulted (exact
     match, then casefolded).  Genes go through the GAF-derived
-    representative-concept choice instead.
+    representative-concept choice instead, over only that gene's records:
+    the annotations are grouped by gene id once, at construction.
     """
 
     def __init__(
@@ -361,7 +362,10 @@ class EntityResolver:
             ns: {key.casefold(): value for key, value in table.items()}
             for ns, table in self.xref.items()
         }
-        self.gene_annotations = list(gene_annotations or [])
+        by_gene: defaultdict[str, list[AnnotationRecord]] = defaultdict(list)
+        for record in gene_annotations or []:
+            by_gene[record.gene_id].append(record)
+        self.annotations_by_gene = dict(by_gene)
 
     def graph_for(self, entity_type: str) -> OntologyGraph:
         namespace = TYPE_NAMESPACE.get(entity_type)
@@ -373,7 +377,7 @@ class EntityResolver:
         graph = self.graph_for(mention.entity_type)
         if mention.entity_type == "gene":
             return ontology.representative_concept(
-                graph, self.gene_annotations, mention.kb_id
+                graph, self.annotations_by_gene.get(mention.kb_id, []), mention.kb_id
             )
         kb_id = mention.kb_id
         if graph.contains(kb_id):
@@ -551,13 +555,47 @@ def dump_instances(instances: Iterable[Instance], out: TextIO) -> None:
         out.write(json.dumps(payload, ensure_ascii=False) + "\n")
 
 
+def _is_str_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# Instance field -> check on its JSON value.
+_FIELD_CHECKS = {
+    "instance_id": lambda v: isinstance(v, str),
+    "sentence_id": lambda v: isinstance(v, str),
+    "pair": lambda v: _is_str_list(v) and len(v) == 2,
+    "sdp_tokens": _is_str_list,
+    "sdp_classes": _is_str_list,
+    "left_chain": _is_str_list,
+    "right_chain": _is_str_list,
+    "common_chain": lambda v: v is None or _is_str_list(v),
+    "label": lambda v: v in ("positive", "negative", "unlabeled"),
+}
+
+
 def load_instances(stream: Iterable[str] | TextIO) -> list[Instance]:
+    """Read a JSON-lines instances file; a malformed line raises MalformedLine
+    naming its line number."""
     instances: list[Instance] = []
-    for raw in stream:
+    for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
         if not line:
             continue
-        payload = json.loads(line)
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedLine(f"instances line {lineno}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise MalformedLine(f"instances line {lineno}: not a JSON object")
+        if payload.keys() != _FIELD_CHECKS.keys():
+            missing = sorted(_FIELD_CHECKS.keys() - payload.keys())
+            unknown = sorted(payload.keys() - _FIELD_CHECKS.keys())
+            raise MalformedLine(
+                f"instances line {lineno}: missing fields {missing}, unknown fields {unknown}"
+            )
+        for name, check in _FIELD_CHECKS.items():
+            if not check(payload[name]):
+                raise MalformedLine(f"instances line {lineno}: bad value for {name!r}")
         payload["pair"] = tuple(payload["pair"])
         instances.append(Instance(**payload))
     return instances

@@ -658,48 +658,83 @@ def save_model(
 
 
 def load_model(stream: TextIO) -> tuple[ModelParams, dict[str, dict[str, int]]]:
-    payload = json.load(stream)
+    """Read a model file written by `save_model`.
+
+    Every tensor must have the shape `init_params` gives it for the file's
+    specs, and every channel's vocabulary the spec's size; a file that
+    disagrees raises ShapeMismatch, one that is not a model file DataError.
+    """
+    try:
+        payload = json.load(stream)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"model file is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError("model file is not a JSON object")
     version = payload.get("version")
     if version != MODEL_VERSION:
         raise DataError(f"unsupported model version {version!r}")
-    specs = [ChannelSpec(**s) for s in payload["specs"]]
-    tensors = payload["tensors"]
+    raw_specs = payload.get("specs")
+    tensors = payload.get("tensors")
+    vocabs = payload.get("vocabularies")
+    if not (isinstance(raw_specs, list) and isinstance(tensors, dict)
+            and isinstance(vocabs, dict)):
+        raise DataError("model file lacks specs, tensors or vocabularies")
+    try:
+        specs = [ChannelSpec(**s) for s in raw_specs]
+    except TypeError as exc:
+        raise DataError(f"bad channel spec: {exc}") from exc
+    for spec in specs:
+        sizes = (spec.vocab_size, spec.embed_dim, spec.hidden_dim, spec.max_len)
+        if spec.name not in CHANNEL_ORDER or not all(
+            type(n) is int and n > 0 for n in sizes
+        ):
+            raise DataError(f"bad channel spec: {asdict(spec)}")
 
-    def tensor(name: str) -> np.ndarray:
+    def tensor(name: str, shape: tuple[int | None, ...]) -> np.ndarray:
+        # None in `shape` accepts any size along that axis.
         entry = tensors.get(name)
         if entry is None:
             raise ShapeMismatch(f"model file lacks tensor {name!r}")
         try:
-            return np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
-        except ValueError as exc:
+            array = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ShapeMismatch(f"tensor {name!r}: {exc}") from exc
+        if array.ndim != len(shape) or any(
+            want is not None and got != want for got, want in zip(array.shape, shape)
+        ):
+            raise ShapeMismatch(f"tensor {name!r} has shape {array.shape}, expected {shape}")
+        return array
+
+    def lstm(prefix: str, spec: ChannelSpec) -> LstmWeights:
+        gates = 4 * spec.hidden_dim
+        return LstmWeights(
+            W=tensor(f"{prefix}.W", (spec.embed_dim, gates)),
+            R=tensor(f"{prefix}.R", (spec.hidden_dim, gates)),
+            b=tensor(f"{prefix}.b", (gates,)),
+        )
 
     channels: dict[str, ChannelParams] = {}
     for spec in specs:
-        embedding = tensor(f"{spec.name}.embedding")
-        if embedding.shape != (spec.vocab_size, spec.embed_dim):
-            raise ShapeMismatch(f"{spec.name}.embedding shape {embedding.shape}")
+        vocab = vocabs.get(spec.name)
+        if not isinstance(vocab, dict) or len(vocab) != spec.vocab_size:
+            raise ShapeMismatch(f"{spec.name} vocabulary does not have {spec.vocab_size} entries")
+        if not all(type(i) is int and 0 <= i < spec.vocab_size for i in vocab.values()):
+            raise ShapeMismatch(f"{spec.name} vocabulary has an index outside its embedding")
         channels[spec.name] = ChannelParams(
-            embedding=embedding,
-            fwd=LstmWeights(
-                W=tensor(f"{spec.name}.fwd.W"),
-                R=tensor(f"{spec.name}.fwd.R"),
-                b=tensor(f"{spec.name}.fwd.b"),
-            ),
-            bwd=LstmWeights(
-                W=tensor(f"{spec.name}.bwd.W"),
-                R=tensor(f"{spec.name}.bwd.R"),
-                b=tensor(f"{spec.name}.bwd.b"),
-            ),
+            embedding=tensor(f"{spec.name}.embedding", (spec.vocab_size, spec.embed_dim)),
+            fwd=lstm(f"{spec.name}.fwd", spec),
+            bwd=lstm(f"{spec.name}.bwd", spec),
         )
+    width = sum(2 * s.hidden_dim for s in specs)
+    dense_w = tensor("dense.W", (width, None))
+    dense_dim = dense_w.shape[1]
     params = ModelParams(
         specs=specs,
         channels=channels,
-        dense_w=tensor("dense.W"),
-        dense_b=tensor("dense.b"),
-        out_w=tensor("out.W"),
-        out_b=tensor("out.b"),
+        dense_w=dense_w,
+        dense_b=tensor("dense.b", (dense_dim,)),
+        out_w=tensor("out.W", (dense_dim, 2)),
+        out_b=tensor("out.b", (2,)),
         version=version,
     )
-    vocabs = payload["vocabularies"]
     return params, vocabs

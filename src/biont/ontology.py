@@ -11,6 +11,7 @@ All functions are pure; parsers read a stream once.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import (
@@ -46,7 +47,8 @@ class OntologyGraph:
 
     `depth` maps each queryable id to its longest-path distance from a root.
     Obsolete concepts stay in `concepts` but have no depth entry and are
-    rejected by the query operations.
+    rejected by the query operations.  A graph must not be changed after
+    `parse_obo` builds it: `id_prefixes` is computed once and cached.
     """
 
     namespace: str
@@ -83,12 +85,11 @@ class OntologyGraph:
             if not self.concepts[p].obsolete
         ]
 
-    @property
-    def id_prefixes(self) -> set[str]:
-        prefixes = set()
-        for cid in self.concepts:
-            prefixes.add(cid.split(":", 1)[0] if ":" in cid else "")
-        return prefixes
+    @cached_property
+    def id_prefixes(self) -> frozenset[str]:
+        return frozenset(
+            cid.split(":", 1)[0] if ":" in cid else "" for cid in self.concepts
+        )
 
 
 def parse_obo(stream: Iterable[str] | TextIO, namespace: str = "custom") -> OntologyGraph:

@@ -1,10 +1,12 @@
 """Dependency parses, path extraction, masking, and instance generation."""
 import io
+import json
 
 import pytest
 
 from biont import corpus as corpus_mod
 from biont import instances as inst
+from biont import ontology
 from biont.corpus import EntityMention, SentenceRecord
 from biont.errors import (
     Disconnected,
@@ -281,6 +283,39 @@ def test_resolver_gene_goes_through_annotations(pgr_resolver):
     assert choice == ("GO:0000004", False)
 
 
+def test_resolver_gene_choice_matches_scan_of_all_records(fixtures, gaf_records):
+    # Oracle: the resolver's per-gene grouping must pick what a scan of every
+    # record picks, for each annotated gene and for one that is absent.
+    obo = (fixtures / "go_mini.obo").read_text(encoding="utf-8")
+    go = ontology.parse_obo(
+        io.StringIO(obo + "\n[Term]\nid: GO:0000009\nname: gone\nis_obsolete: true\n"),
+        namespace="go",
+    )
+
+    def record(gene, concept, evidence, negated=False):
+        return ontology.AnnotationRecord(gene, concept, evidence, negated)
+
+    extra = [
+        # only an obsolete and an unknown concept: falls back to the root
+        record("4444", "GO:0000009", "EXP"),
+        record("4444", "GO:9999999", "IDA"),
+        # an obsolete experimental record must not outrank a usable IEA one
+        record("3333", "GO:0000009", "IDA"),
+        record("3333", "GO:0000005", "IEA"),
+        # negated only: falls back to the root
+        record("2222", "GO:0000006", "IDA", negated=True),
+    ]
+    records = gaf_records[:3] + extra + gaf_records[3:]
+    resolver = inst.EntityResolver({"go": go}, gene_annotations=records)
+    genes = sorted({r.gene_id for r in records}) + ["absent"]
+    choices = {}
+    for gene in genes:
+        choices[gene] = resolver.resolve(mention(0, 1, etype="gene", kb=gene))
+        assert choices[gene] == ontology.representative_concept(go, records, gene), gene
+    assert choices["4444"] == choices["2222"] == choices["absent"] == ("GO:0000001", True)
+    assert choices["3333"] == ("GO:0000005", False)
+
+
 def test_resolver_unconfigured_type_raises(ddi_resolver):
     with pytest.raises(UnmappableEntity):
         ddi_resolver.graph_for("gene")
@@ -543,3 +578,27 @@ def test_instances_dump_round_trip(ddi_data, ddi_resolver, lexicon):
     inst.dump_instances(instances, buffer)
     buffer.seek(0)
     assert inst.load_instances(buffer) == instances
+
+
+def instance_line(**changes):
+    payload = {"instance_id": "a", "sentence_id": "s", "pair": ["a", "b"],
+               "sdp_tokens": [], "sdp_classes": [], "left_chain": [], "right_chain": [],
+               "common_chain": None, "label": "negative"}
+    payload.update(changes)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("line", [
+    instance_line()[:30],
+    '["a", "b"]',
+    '{"instance_id": "a"}',
+    instance_line(extra=1),
+    instance_line(pair=5),
+    instance_line(common_chain=[1]),
+    instance_line(label="maybe"),
+], ids=["truncated", "not-an-object", "missing-fields", "unknown-field", "bad-pair",
+        "bad-chain", "bad-label"])
+def test_load_instances_malformed_line_names_its_number(line):
+    inst.load_instances(io.StringIO(instance_line() + "\n"))
+    with pytest.raises(MalformedLine, match="instances line 3"):
+        inst.load_instances(io.StringIO(instance_line() + "\n\n" + line + "\n"))

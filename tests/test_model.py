@@ -411,6 +411,70 @@ def test_load_model_rejects_unknown_version():
         m.load_model(io.StringIO(json.dumps(payload)))
 
 
+def saved_payload(params):
+    buffer = io.StringIO()
+    m.save_model(params, vocab_stub(params), buffer)
+    return json.loads(buffer.getvalue())
+
+
+@pytest.mark.parametrize("name", [
+    "words.embedding", "words.fwd.W", "words.fwd.R", "words.bwd.R",
+    "classes.bwd.W", "dense.W", "out.W",
+])
+def test_load_model_rejects_transposed_tensor(name):
+    # same element count, axes swapped: reshape succeeds, the shape check must not
+    params, _, _ = tiny_setup()
+    payload = saved_payload(params)
+    payload["tensors"][name]["shape"].reverse()
+    with pytest.raises(ShapeMismatch, match=name):
+        m.load_model(io.StringIO(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("name, shape", [
+    ("words.fwd.b", [4]), ("dense.b", [2]), ("out.b", [1]),
+])
+def test_load_model_rejects_resized_bias(name, shape):
+    params, _, _ = tiny_setup()
+    payload = saved_payload(params)
+    payload["tensors"][name] = {"shape": shape, "data": [0.0] * shape[0]}
+    with pytest.raises(ShapeMismatch, match=name):
+        m.load_model(io.StringIO(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("token, index", [("extra", 3), ("w2", "x"), ("w2", 4), ("w2", -1)],
+                         ids=["extra-entry", "non-integer", "past-end", "negative"])
+def test_load_model_rejects_vocabulary_that_disagrees_with_spec(token, index):
+    params, _, _ = tiny_setup()
+    payload = saved_payload(params)
+    payload["vocabularies"]["classes"][token] = index
+    with pytest.raises(ShapeMismatch, match="classes vocabulary"):
+        m.load_model(io.StringIO(json.dumps(payload)))
+
+
+@pytest.mark.parametrize("text", [
+    '{"version": ',
+    "[]",
+    json.dumps({"version": m.MODEL_VERSION}),
+    json.dumps({"version": m.MODEL_VERSION, "specs": [{"name": "words"}],
+                "tensors": {}, "vocabularies": {}}),
+], ids=["truncated", "not-an-object", "no-specs", "incomplete-spec"])
+def test_load_model_rejects_non_model_files(text):
+    with pytest.raises(DataError):
+        m.load_model(io.StringIO(text))
+
+
+def test_load_model_rejects_unknown_channel():
+    params, _, _ = tiny_setup()
+    payload = saved_payload(params)
+    payload["specs"][1]["name"] = "chars"
+    payload["vocabularies"]["chars"] = payload["vocabularies"].pop("classes")
+    for key in list(payload["tensors"]):
+        if key.startswith("classes."):
+            payload["tensors"]["chars" + key[len("classes"):]] = payload["tensors"].pop(key)
+    with pytest.raises(DataError, match="chars"):
+        m.load_model(io.StringIO(json.dumps(payload)))
+
+
 def test_load_model_rejects_tampered_shape():
     params, _, _ = tiny_setup()
     buffer = io.StringIO()

@@ -193,6 +193,22 @@ def test_common_ancestors_foreign_prefix_raises(chebi):
         ontology.common_ancestors(chebi, "CHEBI:10033", "GO:0000001")
 
 
+def test_id_prefixes_computed_once_per_graph(chebi):
+    assert chebi.id_prefixes is chebi.id_prefixes
+    assert chebi.id_prefixes == {"CHEBI"}
+
+
+def test_foreign_prefix_still_raises_after_earlier_queries():
+    graph = parse("[Term]\nid: CHEBI:1\nname: a\n\n[Term]\nid: CHEBI:2\nname: b\nis_a: CHEBI:1\n",
+                  namespace="chebi")
+    assert ontology.common_ancestors(graph, "CHEBI:2", "CHEBI:2") == ["CHEBI:2", "CHEBI:1"]
+    with pytest.raises(CrossOntologyPair):
+        ontology.common_ancestors(graph, "GO:0000001", "CHEBI:2")
+    assert ontology.common_ancestors(graph, "CHEBI:1", "CHEBI:2") == ["CHEBI:1"]
+    with pytest.raises(CrossOntologyPair):
+        ontology.common_ancestors(graph, "CHEBI:1", "GO:0000001")
+
+
 def test_ancestry_matches_independent_oracles_on_random_dags():
     rng = np.random.default_rng(20240815)
     for _ in range(5):

@@ -351,6 +351,32 @@ def test_cli_data_error_exits_two(fixtures, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_truncated_instances_file_exits_two(fixtures, tmp_path, capsys):
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    instances = tmp_path / "instances.jsonl"
+    instances.write_bytes(instances.read_bytes()[:300])
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(tmp_path / "model.json"),
+                   "--in", str(instances), "--out", str(tmp_path / "p.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "instances line 1" in err
+    assert "Traceback" not in err
+
+
+def test_cli_model_with_swapped_tensor_shape_exits_two(fixtures, tmp_path, capsys):
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    model = tmp_path / "model.json"
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["tensors"]["words.fwd.R"]["shape"].reverse()
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(model), "--in",
+                   str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "words.fwd.R" in err
+    assert "Traceback" not in err
+
+
 def test_cli_two_runs_are_byte_identical(fixtures, tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"
