@@ -41,14 +41,12 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--history", help="history TSV (default: <model>.history.tsv)")
 
     evaluate = sub.add_parser("evaluate", help="score a model on labeled instances")
-    evaluate.add_argument("--config", help="accepted for symmetry; not needed")
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--in", dest="instances", required=True)
     evaluate.add_argument("--out", required=True, help="metrics TSV to write")
     evaluate.add_argument("--threshold", type=float, default=0.5)
 
     predict = sub.add_parser("predict", help="write per-instance probabilities")
-    predict.add_argument("--config", help="accepted for symmetry; not needed")
     predict.add_argument("--model", required=True)
     predict.add_argument("--in", dest="instances", required=True)
     predict.add_argument("--out", required=True, help="predictions JSON-lines to write")

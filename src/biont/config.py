@@ -7,35 +7,23 @@ referenced input path must exist before any parsing starts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .corpus import DEFAULT_TRUTHY_TOKENS, PGR_REQUIRED_KEYS
 from .errors import ConfigError
-from .model import TrainConfig
+from .model import CHANNELS, ModelDims, TrainConfig
 
 CORPORA = ("ddi", "pgr", "cdr")
 ONTOLOGY_NAMESPACES = ("go", "hp", "doid", "chebi")
-CHANNEL_NAMES = ("words", "classes", "onto_concat", "onto_common")
 
 _TOP_KEYS = {
     "corpus", "corpus_path", "ontologies", "gaf", "xref", "lexicon",
     "parses", "vectors", "column_map", "truthy_tokens", "split_fraction",
     "seed", "channels", "model", "train",
 }
-_MODEL_KEYS = {"embed_dim_words", "embed_dim_classes", "embed_dim_onto",
-               "hidden_dim", "dense_dim"}
-_TRAIN_KEYS = {"learning_rate", "epochs", "batch_size", "dropout_keep",
-               "seed", "max_sdp_len", "max_chain_len", "class_weight_positive"}
-
-
-@dataclass
-class ModelDims:
-    embed_dim_words: int = 100
-    embed_dim_classes: int = 50
-    embed_dim_onto: int = 50
-    hidden_dim: int = 64
-    dense_dim: int = 64
+_MODEL_KEYS = {f.name for f in fields(ModelDims)}
+_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -57,7 +45,7 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def enabled_channels(self) -> list[str]:
-        return [name for name in CHANNEL_NAMES if self.channels.get(name, False)]
+        return [name for name in CHANNELS if self.channels.get(name, False)]
 
 
 def _reject_unknown(payload: dict, allowed: set[str], where: str) -> None:
@@ -131,12 +119,12 @@ def load_config(config_path: str | Path) -> RunConfig:
     if not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
 
+    # by default every channel, but onto_common only for same-type pairs
     channels_raw = payload.get("channels") or {
-        "words": True, "classes": True, "onto_concat": True,
-        "onto_common": corpus == "ddi",
+        name: name != "onto_common" or corpus == "ddi" for name in CHANNELS
     }
-    _reject_unknown(channels_raw, set(CHANNEL_NAMES), "channels")
-    channels = {name: bool(channels_raw.get(name, False)) for name in CHANNEL_NAMES}
+    _reject_unknown(channels_raw, set(CHANNELS), "channels")
+    channels = {name: bool(channels_raw.get(name, False)) for name in CHANNELS}
     if not any(channels.values()):
         raise ConfigError("at least one channel must be enabled")
     if channels["onto_common"] and corpus != "ddi":

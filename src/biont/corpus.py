@@ -9,23 +9,18 @@ Three annotated input formats are supported:
   lines) whose document-level relations are projected down to sentences.
 
 Every reader emits the same two shapes: SentenceRecord and GoldRelation.
-A JSON-lines dump/load pair round-trips them losslessly.
 """
 
 from __future__ import annotations
 
-import json
 import xml.etree.ElementTree as ET
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
 from .errors import MalformedLine, MalformedXml, MissingColumn, OffsetMismatch
 
 # DDI entity subtypes all denote drugs.
 _DDI_TYPE_MAP = {"drug": "drug", "brand": "drug", "group": "drug", "drug_n": "drug"}
-
-ENTITY_TYPES = {"drug", "gene", "phenotype", "disease", "chemical"}
-
 
 @dataclass
 class EntityMention:
@@ -460,40 +455,4 @@ def project_document_relations(
             diagnostics.get("mention_outside_sentence", 0)
             + len(document.mentions) - covered
         )
-    return sentences, relations
-
-
-# --- JSON-lines dump --------------------------------------------------------
-
-
-def dump_corpus(
-    sentences: Iterable[SentenceRecord],
-    relations: Iterable[GoldRelation],
-    out: TextIO,
-) -> None:
-    """Write the uniform JSON-lines dump: one record per line, kind-tagged."""
-    for record in sentences:
-        payload = {"kind": "sentence", **asdict(record)}
-        out.write(json.dumps(payload, ensure_ascii=False) + "\n")
-    for relation in relations:
-        payload = {"kind": "relation", **asdict(relation)}
-        out.write(json.dumps(payload, ensure_ascii=False) + "\n")
-
-
-def load_corpus(stream: Iterable[str] | TextIO) -> tuple[list[SentenceRecord], list[GoldRelation]]:
-    sentences: list[SentenceRecord] = []
-    relations: list[GoldRelation] = []
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        payload = json.loads(line)
-        kind = payload.pop("kind", None)
-        if kind == "sentence":
-            entities = [EntityMention(**e) for e in payload.pop("entities")]
-            sentences.append(SentenceRecord(entities=entities, **payload))
-        elif kind == "relation":
-            relations.append(GoldRelation(**payload))
-        else:
-            raise MalformedLine(f"dump line {lineno}: unknown kind {kind!r}")
     return sentences, relations

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict, deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, TextIO
 
 from . import ontology
@@ -536,9 +536,6 @@ def generate_instances(
                 continue
             except NoOverlappingToken:
                 bump("no_overlapping_token")
-                continue
-            except TokenAlignmentFailure:
-                bump("token_alignment_failure")
                 continue
             instances.append(instance)
     instances.sort(key=lambda i: (i.sentence_id, i.pair))

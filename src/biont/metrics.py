@@ -6,7 +6,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import KeyMismatch
-from .model import Prediction
+
+
+@dataclass
+class Prediction:
+    instance_id: str
+    prob_positive: float
+    label: str
 
 
 @dataclass

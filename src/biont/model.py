@@ -16,6 +16,7 @@ sums.
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import asdict, dataclass
 from typing import Iterable, TextIO
 
@@ -29,6 +30,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .instances import Instance
+from .metrics import Metrics, Prediction
 
 PAD_INDEX = 0
 OOV_INDEX = 1
@@ -36,12 +38,6 @@ PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 
 MODEL_VERSION = "1"
-
-CHANNEL_WORDS = "words"
-CHANNEL_CLASSES = "classes"
-CHANNEL_ONTO_CONCAT = "onto_concat"
-CHANNEL_ONTO_COMMON = "onto_common"
-CHANNEL_ORDER = (CHANNEL_WORDS, CHANNEL_CLASSES, CHANNEL_ONTO_CONCAT, CHANNEL_ONTO_COMMON)
 
 _INIT_SCALE = 0.08
 
@@ -56,6 +52,15 @@ class ChannelSpec:
 
 
 @dataclass
+class ModelDims:
+    embed_dim_words: int = 100
+    embed_dim_classes: int = 50
+    embed_dim_onto: int = 50
+    hidden_dim: int = 64
+    dense_dim: int = 64
+
+
+@dataclass
 class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 20
@@ -65,13 +70,6 @@ class TrainConfig:
     max_sdp_len: int = 15
     max_chain_len: int = 10
     class_weight_positive: float = 1.0
-
-
-@dataclass
-class Prediction:
-    instance_id: str
-    prob_positive: float
-    label: str
 
 
 @dataclass
@@ -139,13 +137,13 @@ class ModelParams:
 
 def channel_sequence(instance: Instance, channel: str) -> list[str]:
     """The raw token sequence an instance contributes to a channel."""
-    if channel == CHANNEL_WORDS:
+    if channel == "words":
         return list(instance.sdp_tokens)
-    if channel == CHANNEL_CLASSES:
+    if channel == "classes":
         return list(instance.sdp_classes)
-    if channel == CHANNEL_ONTO_CONCAT:
+    if channel == "onto_concat":
         return list(instance.left_chain) + list(instance.right_chain)
-    if channel == CHANNEL_ONTO_COMMON:
+    if channel == "onto_common":
         return list(instance.common_chain or [])
     raise ValueError(f"unknown channel {channel!r}")
 
@@ -156,21 +154,21 @@ def build_vocabularies(
 ) -> dict[str, dict[str, int]]:
     """token -> index per channel; 0 pad, 1 oov, then first-occurrence order.
 
-    `extra_words` (e.g. a pretrained-vector word list) extends the words
+    `extra_words` (e.g. the words of `load_word_vectors`) extends the words
     channel after the corpus tokens.
     """
     vocabs: dict[str, dict[str, int]] = {
-        name: {PAD_TOKEN: PAD_INDEX, OOV_TOKEN: OOV_INDEX} for name in CHANNEL_ORDER
+        name: {PAD_TOKEN: PAD_INDEX, OOV_TOKEN: OOV_INDEX} for name in CHANNELS
     }
     materialized = list(instances)
-    for name in CHANNEL_ORDER:
+    for name in CHANNELS:
         vocab = vocabs[name]
         for instance in materialized:
             for token in channel_sequence(instance, name):
                 if token not in vocab:
                     vocab[token] = len(vocab)
     if extra_words:
-        vocab = vocabs[CHANNEL_WORDS]
+        vocab = vocabs["words"]
         for word in extra_words:
             if word not in vocab:
                 vocab[word] = len(vocab)
@@ -209,7 +207,16 @@ class EncodedDataset:
 
 
 LABEL_TO_INT = {"positive": 1, "negative": 0, "unlabeled": -1}
-INT_TO_LABEL = {1: "positive", 0: "negative"}
+
+# Every channel, in model order: the ModelDims field that sizes its
+# embedding, and its sequence length from the train settings.
+CHANNELS = {
+    "words": ("embed_dim_words", lambda train: train.max_sdp_len),
+    "classes": ("embed_dim_classes", lambda train: train.max_sdp_len),
+    # both chains side by side; _tokens below gives each max_len // 2
+    "onto_concat": ("embed_dim_onto", lambda train: 2 * train.max_chain_len),
+    "onto_common": ("embed_dim_onto", lambda train: train.max_chain_len),
+}
 
 
 class Encoder:
@@ -220,9 +227,9 @@ class Encoder:
         self.vocabs = vocabs
 
     def _tokens(self, instance: Instance, spec: ChannelSpec) -> list[str]:
-        if spec.name in (CHANNEL_WORDS, CHANNEL_CLASSES):
+        if spec.name in ("words", "classes"):
             return _truncate_sdp(channel_sequence(instance, spec.name), spec.max_len)
-        if spec.name == CHANNEL_ONTO_CONCAT:
+        if spec.name == "onto_concat":
             side = spec.max_len // 2
             return _truncate_chain(list(instance.left_chain), side) + _truncate_chain(
                 list(instance.right_chain), side
@@ -251,26 +258,23 @@ class Encoder:
 
 
 def load_word_vectors(
-    stream: Iterable[str] | TextIO,
-    vocab: dict[str, int],
-    embed_dim: int,
-    seed: int,
-) -> np.ndarray:
-    """Embedding matrix for the words channel from a text vector file.
+    stream: Iterable[str] | TextIO, embed_dim: int
+) -> tuple[list[str], np.ndarray]:
+    """Words and vectors of a whitespace-separated text vector file.
 
-    Rows for in-vocabulary words are copied; everything else keeps the
-    seeded uniform initialization.  The padding row stays zero.  An optional
-    "count dim" header is allowed; its dim must match.
+    Returns the word of each vector line, in file order, and the
+    (lines, embed_dim) matrix of their vectors.  The first non-blank line
+    may be a "count dim" header; its dim must match.
     """
-    rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(len(vocab), embed_dim))
-    matrix[PAD_INDEX] = 0.0
+    words: list[str] = []
+    # one flat buffer: small per-line arrays, freed late, fragment the heap
+    # and raised the peak memory of the training that follows
+    values = array("d")
     first = True
     for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
+        parts = raw.split()
+        if not parts:
             continue
-        parts = line.split()
         if first:
             first = False
             if len(parts) == 2:
@@ -284,17 +288,32 @@ def load_word_vectors(
                             f"vector file dim {dim} vs configured dim {embed_dim}"
                         )
                     continue
-        word, values = parts[0], parts[1:]
         try:
-            vector = np.array([float(v) for v in values], dtype=np.float64)
+            vector = array("d", [float(v) for v in parts[1:]])
         except ValueError as exc:
             raise MalformedVectorLine(f"line {lineno}: non-numeric component") from exc
-        if vector.shape[0] != embed_dim:
+        if len(vector) != embed_dim:
             raise DimensionMismatch(
-                f"line {lineno}: {vector.shape[0]} components vs configured dim {embed_dim}"
+                f"line {lineno}: {len(vector)} components vs configured dim {embed_dim}"
             )
-        if word in vocab and vocab[word] != PAD_INDEX:
+        words.append(parts[0])
+        values.extend(vector)
+    return words, np.frombuffer(values).reshape(len(words), embed_dim)
+
+
+def pretrained_embedding(
+    words: list[str], vectors: np.ndarray, vocab: dict[str, int], seed: int
+) -> np.ndarray:
+    """Words-channel embedding from `load_word_vectors` output: rows of
+    in-vocabulary words are copied (a word listed twice keeps its last
+    vector), every other row keeps the seeded uniform initialization, and
+    the padding row stays zero."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(len(vocab), vectors.shape[1]))
+    for word, vector in zip(words, vectors):
+        if word in vocab:
             matrix[vocab[word]] = vector
+    matrix[PAD_INDEX] = 0.0
     return matrix
 
 
@@ -559,11 +578,7 @@ def _binary_f_score(pred_positive: np.ndarray, gold_positive: np.ndarray) -> flo
     tp = int(np.sum(pred_positive & gold_positive))
     fp = int(np.sum(pred_positive & ~gold_positive))
     fn = int(np.sum(~pred_positive & gold_positive))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return Metrics.from_counts(tp, fp, fn).f_score
 
 
 def train(
@@ -685,7 +700,7 @@ def load_model(stream: TextIO) -> tuple[ModelParams, dict[str, dict[str, int]]]:
         raise DataError(f"bad channel spec: {exc}") from exc
     for spec in specs:
         sizes = (spec.vocab_size, spec.embed_dim, spec.hidden_dim, spec.max_len)
-        if spec.name not in CHANNEL_ORDER or not all(
+        if spec.name not in CHANNELS or not all(
             type(n) is int and n > 0 for n in sizes
         ):
             raise DataError(f"bad channel spec: {asdict(spec)}")

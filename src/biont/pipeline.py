@@ -20,11 +20,11 @@ from . import ontology
 from .config import RunConfig
 from .errors import DataError
 from .instances import EntityResolver, Instance
-from .metrics import Metrics, compute_metrics, format_report
-from .model import ChannelSpec, Encoder, ModelParams, Prediction
+from .metrics import Metrics, Prediction, compute_metrics, format_report
+from .model import ChannelSpec, Encoder, ModelParams
 
 # Always reported, even at zero, so report shapes are stable.
-CANONICAL_SKIP_REASONS = ("disconnected", "offset_mismatch", "unmappable_entity")
+CANONICAL_SKIP_REASONS = ("disconnected", "unmappable_entity")
 
 
 def split_dataset(
@@ -142,46 +142,18 @@ def cmd_preprocess(
     return instances, diagnostics
 
 
-def _vector_file_words(path: Path) -> list[str]:
-    words: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle):
-            parts = raw.split()
-            if not parts:
-                continue
-            if lineno == 0 and len(parts) == 2:
-                try:
-                    int(parts[0]), int(parts[1])
-                    continue
-                except ValueError:
-                    pass
-            words.append(parts[0])
-    return words
-
-
 def _build_specs(config: RunConfig, vocabs: dict[str, dict[str, int]]) -> list[ChannelSpec]:
-    dims = config.model
-    per_channel = {
-        "words": (dims.embed_dim_words, config.train.max_sdp_len),
-        "classes": (dims.embed_dim_classes, config.train.max_sdp_len),
-        "onto_concat": (dims.embed_dim_onto, 2 * config.train.max_chain_len),
-        "onto_common": (dims.embed_dim_onto, config.train.max_chain_len),
-    }
-    specs = []
-    for name in model_mod.CHANNEL_ORDER:
-        if not config.channels.get(name, False):
-            continue
-        embed_dim, max_len = per_channel[name]
-        specs.append(
-            ChannelSpec(
-                name=name,
-                vocab_size=len(vocabs[name]),
-                embed_dim=embed_dim,
-                hidden_dim=dims.hidden_dim,
-                max_len=max_len,
-            )
+    return [
+        ChannelSpec(
+            name=name,
+            vocab_size=len(vocabs[name]),
+            embed_dim=getattr(config.model, dim_field),
+            hidden_dim=config.model.hidden_dim,
+            max_len=max_len(config.train),
         )
-    return specs
+        for name, (dim_field, max_len) in model_mod.CHANNELS.items()
+        if name in vocabs
+    ]
 
 
 def cmd_train(
@@ -202,16 +174,20 @@ def cmd_train(
     )
     if not dev_instances:
         dev_instances = train_instances
-    extra_words = _vector_file_words(config.vectors) if config.vectors else None
-    vocabs = model_mod.build_vocabularies(instances, extra_words)
-    vocabs = {name: vocabs[name] for name in vocabs if config.channels.get(name, False)}
+    channels = config.enabled_channels()
+    words = vectors = None
+    if config.vectors and "words" in channels:
+        with open(config.vectors, encoding="utf-8") as handle:
+            words, vectors = model_mod.load_word_vectors(handle, config.model.embed_dim_words)
+    vocabs = model_mod.build_vocabularies(instances, words)
+    vocabs = {name: vocabs[name] for name in channels}
     specs = _build_specs(config, vocabs)
     params = model_mod.init_params(specs, config.model.dense_dim, config.train.seed)
-    if config.vectors and config.channels.get("words", False):
-        with open(config.vectors, encoding="utf-8") as handle:
-            params.channels["words"].embedding = model_mod.load_word_vectors(
-                handle, vocabs["words"], config.model.embed_dim_words, config.train.seed
-            )
+    if vectors is not None:
+        params.channels["words"].embedding = model_mod.pretrained_embedding(
+            words, vectors, vocabs["words"], config.train.seed
+        )
+        del words, vectors  # free the parsed rows before training
     encoder = Encoder(specs, vocabs)
     best, history = model_mod.train(
         params,

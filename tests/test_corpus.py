@@ -326,22 +326,3 @@ def test_projection_counts_uncovered_mentions():
     assert diagnostics["mention_outside_sentence"] == 1
     assert all(not s.entities for s in sentences)
     assert relations == []
-
-
-# --- JSON-lines dump ---------------------------------------------------------------
-
-
-def test_corpus_dump_round_trip(fixtures):
-    with open(fixtures / "ddi_corpus.xml", encoding="utf-8") as handle:
-        sentences, relations = corpus.parse_ddi_xml(handle)
-    buffer = io.StringIO()
-    corpus.dump_corpus(sentences, relations, buffer)
-    buffer.seek(0)
-    sentences2, relations2 = corpus.load_corpus(buffer)
-    assert sentences2 == sentences
-    assert relations2 == relations
-
-
-def test_corpus_load_unknown_kind_raises():
-    with pytest.raises(MalformedLine):
-        corpus.load_corpus(io.StringIO('{"kind": "mystery"}\n'))

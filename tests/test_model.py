@@ -52,7 +52,7 @@ def tiny_setup(with_second_channel=True, hidden=2, seed=5):
 
 def test_build_vocabularies_reserves_pad_and_oov():
     vocabs = m.build_vocabularies([make_instance()])
-    for name in m.CHANNEL_ORDER:
+    for name in m.CHANNELS:
         assert vocabs[name][m.PAD_TOKEN] == 0
         assert vocabs[name][m.OOV_TOKEN] == 1
 
@@ -138,7 +138,8 @@ def test_encoder_concat_channel_truncates_per_side():
 def test_load_word_vectors_copies_known_rows():
     vocab = {"<pad>": 0, "<oov>": 1, "binds": 2, "other": 3}
     stream = io.StringIO("2 3\nbinds 0.5 -0.5 0.25\nmissing 1 2 3\n")
-    matrix = m.load_word_vectors(stream, vocab, embed_dim=3, seed=1)
+    words, vectors = m.load_word_vectors(stream, embed_dim=3)
+    matrix = m.pretrained_embedding(words, vectors, vocab, seed=1)
     assert matrix.shape == (4, 3)
     assert matrix[2].tolist() == [0.5, -0.5, 0.25]
     assert matrix[0].tolist() == [0.0, 0.0, 0.0]
@@ -147,21 +148,28 @@ def test_load_word_vectors_copies_known_rows():
     assert np.array_equal(matrix[3], baseline[3])
 
 
+def test_word_vectors_duplicate_word_keeps_first_position_and_last_vector():
+    words, vectors = m.load_word_vectors(io.StringIO("a 1 1\nb 2 2\na 3 3\n"), embed_dim=2)
+    vocab = m.build_vocabularies([], words)["words"]
+    assert list(vocab) == ["<pad>", "<oov>", "a", "b"]
+    matrix = m.pretrained_embedding(words, vectors, vocab, seed=1)
+    assert matrix[vocab["a"]].tolist() == [3.0, 3.0]
+    assert matrix[vocab["b"]].tolist() == [2.0, 2.0]
+
+
 def test_load_word_vectors_header_dim_mismatch_raises():
     with pytest.raises(DimensionMismatch):
-        m.load_word_vectors(io.StringIO("10 5\n"), {"<pad>": 0}, embed_dim=3, seed=1)
+        m.load_word_vectors(io.StringIO("10 5\n"), embed_dim=3)
 
 
 def test_load_word_vectors_row_dim_mismatch_raises():
     with pytest.raises(DimensionMismatch):
-        m.load_word_vectors(io.StringIO("binds 1.0 2.0\n"), {"binds": 2, "<pad>": 0},
-                            embed_dim=3, seed=1)
+        m.load_word_vectors(io.StringIO("binds 1.0 2.0\n"), embed_dim=3)
 
 
 def test_load_word_vectors_non_numeric_raises():
     with pytest.raises(MalformedVectorLine):
-        m.load_word_vectors(io.StringIO("binds a b c\n"), {"<pad>": 0},
-                            embed_dim=3, seed=1)
+        m.load_word_vectors(io.StringIO("binds a b c\n"), embed_dim=3)
 
 
 # --- initialization -----------------------------------------------------------------

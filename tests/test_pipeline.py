@@ -203,6 +203,15 @@ def test_preprocess_each_corpus(fixtures, tmp_path, name, expected_count):
         assert canonical in reasons
 
 
+@pytest.mark.parametrize("corpus", ["ddi", "pgr", "cdr"])
+def test_preprocess_matches_golden_outputs(fixtures, tmp_path, corpus):
+    config = load_config(fixtures / f"{corpus}.config.json")
+    pipeline.cmd_preprocess(config, tmp_path / "instances.jsonl", tmp_path / "report.tsv")
+    golden = fixtures / "golden" / corpus
+    for name in ("instances.jsonl", "report.tsv"):
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_preprocess_honors_explicit_report_path(fixtures, tmp_path):
     config = load_config(fixtures / "ddi.config.json")
     out = tmp_path / "inst.jsonl"
@@ -227,6 +236,25 @@ def test_train_writes_model_and_history(fixtures, tmp_path):
     assert [s["name"] for s in payload["specs"]] == [
         "words", "classes", "onto_concat", "onto_common",
     ]
+
+
+def test_train_vector_header_after_blank_line_is_not_a_word(fixtures, tmp_path):
+    # the optional "count dim" header is the first non-blank line
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("\n2 3\nfoo 0.1 0.2 0.3\nbar 0.4 0.5 0.6\n", encoding="utf-8")
+    config_path = materialize_config(fixtures, tmp_path, "ddi.config.json",
+                                     mutate={"vectors": str(vectors)})
+    payload = json.loads(config_path.read_text(encoding="utf-8"))
+    payload["model"]["embed_dim_words"] = 3
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    config = load_config(config_path)
+    instances_path = tmp_path / "instances.jsonl"
+    pipeline.cmd_preprocess(config, instances_path)
+    model_path = tmp_path / "model.json"
+    pipeline.cmd_train(config, instances_path, model_path)
+    words = json.loads(model_path.read_text(encoding="utf-8"))["vocabularies"]["words"]
+    assert "2" not in words
+    assert list(words)[-2:] == ["foo", "bar"]
 
 
 def test_train_on_empty_instances_raises(fixtures, tmp_path):
@@ -361,6 +389,27 @@ def test_cli_truncated_instances_file_exits_two(fixtures, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "instances line 1" in err
     assert "Traceback" not in err
+
+
+def test_cli_unalignable_token_exits_two(fixtures, tmp_path, capsys):
+    parses = tmp_path / "ddi_parses.conllu"
+    text = (fixtures / "ddi_parses.conllu").read_text(encoding="utf-8")
+    parses.write_text(text.replace("effect", "effekt"), encoding="utf-8")
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json",
+                                mutate={"parses": str(parses)})
+    assert run_cli("preprocess", "--config", str(config),
+                   "--out", str(tmp_path / "x.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_evaluate_and_predict_reject_config_option(fixtures, tmp_path, capsys):
+    config = str(fixtures / "ddi.config.json")
+    for command in ("evaluate", "predict"):
+        assert run_cli(command, "--config", config, "--model", str(tmp_path / "m.json"),
+                       "--in", str(tmp_path / "i.jsonl"), "--out", str(tmp_path / "o")) == 1
+    assert "--config" in capsys.readouterr().err
 
 
 def test_cli_model_with_swapped_tensor_shape_exits_two(fixtures, tmp_path, capsys):
