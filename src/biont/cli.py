@@ -5,7 +5,8 @@
     biont evaluate   --model model.json --in instances.jsonl --out metrics.tsv
     biont predict    --model model.json --in instances.jsonl --out preds.jsonl
 
-Exit codes: 0 success, 1 validation/usage error, 2 data error.
+Exit codes: 0 success, 1 validation/usage error, 2 data error (including a
+data file that is missing, cannot be opened or written, or is not UTF-8).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DataError as exc:
+    except (DataError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

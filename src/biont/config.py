@@ -70,8 +70,8 @@ def load_config(config_path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {config_path}")
     try:
         payload = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(payload, _TOP_KEYS, "config")

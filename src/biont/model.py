@@ -15,6 +15,7 @@ sums.
 
 from __future__ import annotations
 
+import copy
 import json
 from array import array
 from dataclasses import asdict, dataclass
@@ -110,22 +111,7 @@ class ModelParams:
         yield "out.b", self.out_b
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            specs=[ChannelSpec(**asdict(s)) for s in self.specs],
-            channels={
-                name: ChannelParams(
-                    embedding=ch.embedding.copy(),
-                    fwd=LstmWeights(ch.fwd.W.copy(), ch.fwd.R.copy(), ch.fwd.b.copy()),
-                    bwd=LstmWeights(ch.bwd.W.copy(), ch.bwd.R.copy(), ch.bwd.b.copy()),
-                )
-                for name, ch in self.channels.items()
-            },
-            dense_w=self.dense_w.copy(),
-            dense_b=self.dense_b.copy(),
-            out_w=self.out_w.copy(),
-            out_b=self.out_b.copy(),
-            version=self.version,
-        )
+        return copy.deepcopy(self)
 
     @property
     def dense_input_width(self) -> int:
@@ -483,24 +469,10 @@ def _forward_cache(
     return probs, cache
 
 
-def forward(
-    params: ModelParams,
-    batch: dict[str, np.ndarray],
-    train_mode: bool = False,
-    dropout_keep: float = 1.0,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Class probabilities, one row per batch item (rows sum to 1).
-
-    Dropout (inverted scaling) is applied to the dense input only when
-    train_mode and a generator is supplied.
-    """
-    mask = None
-    if train_mode and rng is not None and dropout_keep < 1.0:
-        width = params.dense_input_width
-        n = next(iter(batch.values())).shape[0]
-        mask = (rng.random((n, width)) < dropout_keep) / dropout_keep
-    probs, _ = _forward_cache(params, batch, mask)
+def forward(params: ModelParams, batch: dict[str, np.ndarray]) -> np.ndarray:
+    """Class probabilities, one row per batch item (rows sum to 1), without
+    dropout."""
+    probs, _ = _forward_cache(params, batch)
     return probs
 
 

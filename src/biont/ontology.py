@@ -45,10 +45,13 @@ class OntologyConcept:
 class OntologyGraph:
     """Validated is_a DAG over non-obsolete concepts.
 
-    `depth` maps each queryable id to its longest-path distance from a root.
-    Obsolete concepts stay in `concepts` but have no depth entry and are
-    rejected by the query operations.  A graph must not be changed after
-    `parse_obo` builds it: `id_prefixes` is computed once and cached.
+    `depth_map` maps each queryable id to its longest-path distance from a
+    root, and `query_parent_map` maps it to its non-obsolete parents, in
+    file order; both are filled once, by the walk that checks the graph for
+    cycles.  Obsolete concepts stay in `concepts` but have no entry in
+    either table and are rejected by the query operations.  A graph must
+    not be changed after `parse_obo` builds it: `id_prefixes` is computed
+    once and cached.
     """
 
     namespace: str
@@ -56,6 +59,7 @@ class OntologyGraph:
     roots: set[str]
     depth_map: dict[str, int]
     alt_to_primary: dict[str, str]
+    query_parent_map: dict[str, list[str]]
 
     def resolve(self, concept_id: str) -> str:
         """Return the primary id for `concept_id`, following alt_ids.
@@ -79,11 +83,7 @@ class OntologyGraph:
         return True
 
     def query_parents(self, primary_id: str) -> list[str]:
-        # Edges into obsolete concepts are not part of the query DAG.
-        return [
-            p for p in self.concepts[primary_id].parents
-            if not self.concepts[p].obsolete
-        ]
+        return self.query_parent_map[primary_id]
 
     @cached_property
     def id_prefixes(self) -> frozenset[str]:
@@ -101,52 +101,32 @@ def parse_obo(stream: Iterable[str] | TextIO, namespace: str = "custom") -> Onto
     excluded from ancestry queries.
     """
     stanzas: list[OntologyConcept] = []
-    current: dict | None = None
-    in_term = False
-
-    def flush() -> None:
-        nonlocal current
-        if current is None:
-            return
-        if not current.get("id"):
-            raise MalformedStanza("[Term] stanza without an id")
-        stanzas.append(
-            OntologyConcept(
-                id=current["id"],
-                name=current.get("name", ""),
-                parents=current["parents"],
-                alt_ids=current["alt_ids"],
-                obsolete=current["obsolete"],
-            )
-        )
-        current = None
-
+    current: OntologyConcept | None = None
     for raw in stream:
         line = raw.strip()
         if line.startswith("["):
-            flush()
-            in_term = line == "[Term]"
-            if in_term:
-                current = {"parents": [], "alt_ids": [], "obsolete": False}
+            current = OntologyConcept(id="", name="") if line == "[Term]" else None
+            if current is not None:
+                stanzas.append(current)
             continue
-        if not in_term or current is None or not line or line.startswith("!"):
+        key, sep, value = line.partition(":")
+        if current is None or not sep:
             continue
-        if ":" not in line:
-            continue
-        key, _, value = line.partition(":")
         key = key.strip()
         value = value.strip()
         if key == "id":
-            current["id"] = value
+            current.id = value
         elif key == "name":
-            current["name"] = value
+            current.name = value
         elif key == "alt_id":
-            current["alt_ids"].append(value)
+            current.alt_ids.append(value)
         elif key == "is_a":
-            current["parents"].append(value.split("!")[0].strip())
+            current.parents.append(value.split("!")[0].strip())
         elif key == "is_obsolete":
-            current["obsolete"] = value.lower() == "true"
-    flush()
+            current.obsolete = value.lower() == "true"
+    # Checked before registration, so a missing id wins over any later error.
+    if any(not concept.id for concept in stanzas):
+        raise MalformedStanza("[Term] stanza without an id")
 
     concepts: dict[str, OntologyConcept] = {}
     alt_to_primary: dict[str, str] = {}
@@ -158,9 +138,6 @@ def parse_obo(stream: Iterable[str] | TextIO, namespace: str = "custom") -> Onto
             if alt in alt_to_primary or alt in concepts:
                 raise DuplicateId(alt)
             alt_to_primary[alt] = concept.id
-    for alt in alt_to_primary:
-        if alt in concepts:
-            raise DuplicateId(alt)
 
     # Normalize parent references: alt ids resolve to primaries, and every
     # parent must exist somewhere in the file.
@@ -174,75 +151,51 @@ def parse_obo(stream: Iterable[str] | TextIO, namespace: str = "custom") -> Onto
             resolved.append(parent)
         concept.parents = resolved
 
-    _check_acyclic(concepts)
-
-    queryable = [c.id for c in concepts.values() if not c.obsolete]
-    query_parents = {
-        cid: [p for p in concepts[cid].parents if not concepts[p].obsolete]
-        for cid in queryable
-    }
-    depth_map = _longest_path_depths(queryable, query_parents)
-    roots = {cid for cid in queryable if not query_parents[cid]}
+    # One iterative DFS over child->parent edges of every concept, obsolete
+    # ones included.  A parent still on the stack closes a cycle; a node is
+    # finished after all its parents, so its depth can be set from theirs.
+    query_parent_map: dict[str, list[str]] = {}
+    depth_map: dict[str, int] = {}
+    on_stack: set[str] = set()
+    finished: set[str] = set()
+    for start in concepts:
+        if start in finished:
+            continue
+        on_stack.add(start)
+        stack = [(start, iter(concepts[start].parents))]
+        while stack:
+            node, pending = stack[-1]
+            for parent in pending:
+                if parent in finished:
+                    continue
+                if parent in on_stack:
+                    path = [n for n, _ in stack]
+                    raise CycleDetected(path[path.index(parent):])
+                on_stack.add(parent)
+                stack.append((parent, iter(concepts[parent].parents)))
+                break
+            else:
+                stack.pop()
+                on_stack.discard(node)
+                finished.add(node)
+                concept = concepts[node]
+                if not concept.obsolete:
+                    ps = [p for p in concept.parents if not concepts[p].obsolete]
+                    # Share the parent list when no edge is dropped, so the
+                    # table holds a second list only for the few that differ.
+                    if len(ps) == len(concept.parents):
+                        ps = concept.parents
+                    query_parent_map[node] = ps
+                    depth_map[node] = 1 + max(depth_map[p] for p in ps) if ps else 0
 
     return OntologyGraph(
         namespace=namespace,
         concepts=concepts,
-        roots=roots,
+        roots={cid for cid, ps in query_parent_map.items() if not ps},
         depth_map=depth_map,
         alt_to_primary=alt_to_primary,
+        query_parent_map=query_parent_map,
     )
-
-
-def _check_acyclic(concepts: dict[str, OntologyConcept]) -> None:
-    """Iterative DFS over child->parent edges; raises CycleDetected with the
-    ids on one offending cycle."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {cid: WHITE for cid in concepts}
-    for start in concepts:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[str, int]] = [(start, 0)]
-        path: list[str] = []
-        while stack:
-            node, edge_idx = stack.pop()
-            if edge_idx == 0:
-                color[node] = GRAY
-                path.append(node)
-            parents = concepts[node].parents
-            if edge_idx < len(parents):
-                stack.append((node, edge_idx + 1))
-                nxt = parents[edge_idx]
-                if color[nxt] == GRAY:
-                    raise CycleDetected(path[path.index(nxt):])
-                if color[nxt] == WHITE:
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                path.pop()
-
-
-def _longest_path_depths(ids: list[str], parents: dict[str, list[str]]) -> dict[str, int]:
-    # Kahn order over child->parent edges, then DP from the roots down.
-    children: dict[str, list[str]] = {cid: [] for cid in ids}
-    pending = {}
-    for cid in ids:
-        pending[cid] = len(parents[cid])
-        for p in parents[cid]:
-            children[p].append(cid)
-    order = [cid for cid in ids if pending[cid] == 0]
-    queue = list(order)
-    while queue:
-        node = queue.pop()
-        for child in children[node]:
-            pending[child] -= 1
-            if pending[child] == 0:
-                order.append(child)
-                queue.append(child)
-    depth: dict[str, int] = {}
-    for cid in order:
-        ps = parents[cid]
-        depth[cid] = 0 if not ps else 1 + max(depth[p] for p in ps)
-    return depth
 
 
 def depth(graph: OntologyGraph, concept_id: str) -> int:

@@ -222,17 +222,6 @@ def test_forward_shapes_and_normalization():
     assert np.array_equal(probs, m.forward(params, batch))  # eval is deterministic
 
 
-def test_forward_dropout_only_in_train_mode():
-    params, batch, _ = tiny_setup()
-    base = m.forward(params, batch)
-    rng = np.random.default_rng(0)
-    dropped = m.forward(params, batch, train_mode=True, dropout_keep=0.5, rng=rng)
-    assert not np.array_equal(base, dropped)
-    # without a generator, train mode falls back to the deterministic path
-    assert np.array_equal(base, m.forward(params, batch, train_mode=True,
-                                          dropout_keep=0.5))
-
-
 def test_forward_rejects_wrong_width():
     params, batch, _ = tiny_setup()
     batch["words"] = batch["words"][:, :2]

@@ -104,6 +104,26 @@ def test_cycle_raises_with_member_ids():
     assert err.value.ids == {"A:2", "A:3"}
 
 
+def test_cycle_through_obsolete_term_raises():
+    text = (
+        "[Term]\nid: A:1\n\n"
+        "[Term]\nid: A:3\nis_a: A:2\nis_a: A:1\n\n"
+        "[Term]\nid: A:2\nis_a: A:3\nis_obsolete: true\n"
+    )
+    with pytest.raises(CycleDetected) as err:
+        parse(text)
+    assert err.value.ids == {"A:2", "A:3"}
+
+
+@pytest.mark.parametrize("anonymous_first", [True, False])
+def test_stanza_without_id_wins_over_duplicate_id(anonymous_first):
+    anonymous = "[Term]\nname: anonymous\n\n"
+    duplicates = "[Term]\nid: A:1\n\n[Term]\nid: A:1\n\n"
+    text = anonymous + duplicates if anonymous_first else duplicates + anonymous
+    with pytest.raises(MalformedStanza):
+        parse(text)
+
+
 def test_parent_via_alt_id_is_normalized():
     graph = parse(
         "[Term]\nid: A:1\nalt_id: A:9\n\n[Term]\nid: A:2\nis_a: A:9\n"
@@ -221,6 +241,44 @@ def test_ancestry_matches_independent_oracles_on_random_dags():
                 closure_ancestors(parents, cid)
             assert ontology.depth(graph, cid) == \
                 longest_path_to_root(parents, cid, memo)
+
+
+def test_query_dag_matches_oracles_with_obsolete_terms_and_alt_id_parents():
+    rng = np.random.default_rng(20261018)
+    saw_obsolete = saw_alt_edge = False
+    for _ in range(20):
+        n = int(rng.integers(5, 30))
+        ids, parents = random_dag(rng, n)
+        obsolete = {cid for cid in ids if rng.random() < 0.2}
+        alt = {cid: cid.replace("T:", "ALT:") for cid in ids if rng.random() < 0.3}
+        lines = []
+        for cid in ids:
+            lines += ["[Term]", f"id: {cid}"]
+            if cid in alt:
+                lines.append(f"alt_id: {alt[cid]}")
+            for parent in parents[cid]:
+                use_alt = parent in alt and rng.random() < 0.5
+                saw_alt_edge |= use_alt
+                lines.append(f"is_a: {alt[parent] if use_alt else parent}")
+            if cid in obsolete:
+                lines.append("is_obsolete: true")
+            lines.append("")
+        graph = parse("\n".join(lines))
+        saw_obsolete |= bool(obsolete)
+
+        live = {
+            cid: [p for p in parents[cid] if p not in obsolete]
+            for cid in ids if cid not in obsolete
+        }
+        memo: dict[str, int] = {}
+        assert graph.roots == {cid for cid, ps in live.items() if not ps}
+        assert set(graph.depth_map) == set(live)
+        for cid in live:
+            assert graph.query_parents(cid) == live[cid]
+            assert ontology.depth(graph, cid) == longest_path_to_root(live, cid, memo)
+            assert ontology.ancestor_set(graph, cid, inclusive=True) == \
+                closure_ancestors(live, cid)
+    assert saw_obsolete and saw_alt_edge
 
 
 # --- GAF ---------------------------------------------------------------------

@@ -426,6 +426,56 @@ def test_cli_model_with_swapped_tensor_shape_exits_two(fixtures, tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_cli_missing_model_file_exits_two(fixtures, tmp_path, capsys):
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(tmp_path / "nope.json"), "--in",
+                   str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "nope.json" in err
+    assert "Traceback" not in err
+
+
+def test_cli_missing_instances_file_exits_two(fixtures, tmp_path, capsys):
+    assert run_cli("train", "--config", str(fixtures / "ddi.config.json"), "--in",
+                   str(tmp_path / "nope.jsonl"), "--model", str(tmp_path / "m.json")) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "nope.jsonl" in err
+    assert "Traceback" not in err
+
+
+def test_cli_output_in_missing_directory_exits_two(fixtures, tmp_path, capsys):
+    assert run_cli("preprocess", "--config", str(fixtures / "ddi.config.json"),
+                   "--out", str(tmp_path / "nodir" / "x.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "nodir" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", ["instances.jsonl", "model.json"])
+def test_cli_non_utf8_input_file_exits_two(fixtures, tmp_path, capsys, name):
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    target = tmp_path / name
+    data = target.read_bytes()
+    target.write_bytes(data[:40] + b"\xff" + data[40:])
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(tmp_path / "model.json"), "--in",
+                   str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "utf-8" in err
+    assert "Traceback" not in err
+
+
+def test_cli_non_utf8_config_exits_one(fixtures, tmp_path, capsys):
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json")
+    config.write_bytes(b"\xff" + config.read_bytes())
+    assert run_cli("preprocess", "--config", str(config),
+                   "--out", str(tmp_path / "x.jsonl")) == 1
+    err = capsys.readouterr().err
+    assert "config is not valid UTF-8 JSON" in err
+    assert "Traceback" not in err
+
+
 def test_cli_two_runs_are_byte_identical(fixtures, tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"
