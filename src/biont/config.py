@@ -7,6 +7,7 @@ referenced input path must exist before any parsing starts.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -22,8 +23,6 @@ _TOP_KEYS = {
     "parses", "vectors", "column_map", "truthy_tokens", "split_fraction",
     "seed", "channels", "model", "train",
 }
-_MODEL_KEYS = {f.name for f in fields(ModelDims)}
-_TRAIN_KEYS = {f.name for f in fields(TrainConfig)}
 
 
 @dataclass
@@ -52,6 +51,35 @@ def _reject_unknown(payload: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(payload) - allowed)
     if unknown:
         raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+
+
+def _object(payload: dict, key: str) -> dict:
+    """The JSON object under `key`; {} when the key is absent or null."""
+    value = payload.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object")
+    return value
+
+
+def _numeric_section(payload: dict, key: str, cls, **defaults):
+    """Build dataclass `cls` from the object under `key`, checking each type.
+
+    An `int` field takes a JSON integer, a `float` field any finite number;
+    booleans are neither.
+    """
+    raw = _object(payload, key)
+    _reject_unknown(raw, {f.name for f in fields(cls)}, key)
+    section = cls(**{**defaults, **raw})
+    for f in fields(cls):
+        value = getattr(section, f.name)
+        kinds = int if f.type == "int" else (int, float)
+        if (isinstance(value, bool) or not isinstance(value, kinds)
+                or isinstance(value, float) and not math.isfinite(value)):
+            kind = "an integer" if f.type == "int" else "a finite number"
+            raise ConfigError(f"{key}.{f.name} must be {kind}")
+    return section
 
 
 def _require_path(base: Path, value, what: str) -> Path:
@@ -95,7 +123,7 @@ def load_config(config_path: str | Path) -> RunConfig:
     gaf_path = _require_path(base, gaf, "gaf") if gaf is not None else None
 
     xref: dict[str, Path] = {}
-    for namespace, value in (payload.get("xref") or {}).items():
+    for namespace, value in _object(payload, "xref").items():
         if namespace not in ONTOLOGY_NAMESPACES:
             raise ConfigError(f"unknown xref namespace {namespace!r}")
         xref[namespace] = _require_path(base, value, f"xref.{namespace}")
@@ -105,22 +133,24 @@ def load_config(config_path: str | Path) -> RunConfig:
     vectors = payload.get("vectors")
     vectors_path = _require_path(base, vectors, "vectors") if vectors is not None else None
 
-    column_map = payload.get("column_map") or {}
+    column_map = _object(payload, "column_map")
     if corpus == "pgr":
         missing = [k for k in PGR_REQUIRED_KEYS if k not in column_map]
         if missing:
             raise ConfigError(f"column_map lacks keys: {', '.join(missing)}")
-    truthy = tuple(payload.get("truthy_tokens") or DEFAULT_TRUTHY_TOKENS)
+    truthy = payload.get("truthy_tokens") or DEFAULT_TRUTHY_TOKENS
+    if not isinstance(truthy, (list, tuple)) or not all(isinstance(t, str) for t in truthy):
+        raise ConfigError("truthy_tokens must be a list of strings")
 
     split_fraction = payload.get("split_fraction", 0.8)
     if not isinstance(split_fraction, (int, float)) or not 0.0 < split_fraction < 1.0:
         raise ConfigError("split_fraction must lie in (0, 1)")
     seed = payload.get("seed", 1)
-    if not isinstance(seed, int):
+    if isinstance(seed, bool) or not isinstance(seed, int):
         raise ConfigError("seed must be an integer")
 
     # by default every channel, but onto_common only for same-type pairs
-    channels_raw = payload.get("channels") or {
+    channels_raw = _object(payload, "channels") or {
         name: name != "onto_common" or corpus == "ddi" for name in CHANNELS
     }
     _reject_unknown(channels_raw, set(CHANNELS), "channels")
@@ -132,17 +162,12 @@ def load_config(config_path: str | Path) -> RunConfig:
             "onto_common channel requires a same-type pair corpus (ddi)"
         )
 
-    model_raw = payload.get("model") or {}
-    _reject_unknown(model_raw, _MODEL_KEYS, "model")
-    model = ModelDims(**model_raw)
+    model = _numeric_section(payload, "model", ModelDims)
     for name, value in vars(model).items():
-        if not isinstance(value, int) or value < 1:
+        if value < 1:
             raise ConfigError(f"model.{name} must be a positive integer")
 
-    train_raw = payload.get("train") or {}
-    _reject_unknown(train_raw, _TRAIN_KEYS, "train")
-    train_raw.setdefault("seed", seed)
-    train = TrainConfig(**train_raw)
+    train = _numeric_section(payload, "train", TrainConfig, seed=seed)
     if train.learning_rate <= 0:
         raise ConfigError("train.learning_rate must be positive")
     if train.epochs < 0 or train.batch_size < 1:
@@ -167,7 +192,7 @@ def load_config(config_path: str | Path) -> RunConfig:
         parses=parses,
         vectors=vectors_path,
         column_map=dict(column_map),
-        truthy_tokens=truthy,
+        truthy_tokens=tuple(truthy),
         split_fraction=float(split_fraction),
         seed=seed,
         channels=channels,

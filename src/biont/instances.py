@@ -10,7 +10,7 @@ ancestors when the pair shares an entity type).
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
+from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Iterable, TextIO
 
@@ -24,7 +24,7 @@ from .errors import (
     TokenAlignmentFailure,
     UnmappableEntity,
 )
-from .ontology import AnnotationRecord, OntologyGraph
+from .ontology import OntologyGraph
 
 MASK_CANDIDATE_1 = "candidate1"
 MASK_CANDIDATE_2 = "candidate2"
@@ -346,26 +346,23 @@ class EntityResolver:
     kb ids that already resolve in the target graph are used directly;
     otherwise the namespace's cross-reference table is consulted (exact
     match, then casefolded).  Genes go through the GAF-derived
-    representative-concept choice instead, over only that gene's records:
-    the annotations are grouped by gene id once, at construction.
+    representative-concept choice instead, over only that gene's entry in
+    the per-gene table `ontology.parse_gaf` returns.
     """
 
     def __init__(
         self,
         graphs: dict[str, OntologyGraph],
         xref: dict[str, dict[str, str]] | None = None,
-        gene_annotations: list[AnnotationRecord] | None = None,
+        gene_annotations: dict[str, list[tuple[str, str]]] | None = None,
     ):
         self.graphs = graphs
-        self.xref = {ns: dict(table) for ns, table in (xref or {}).items()}
+        self.xref = xref or {}
         self._xref_folded = {
             ns: {key.casefold(): value for key, value in table.items()}
             for ns, table in self.xref.items()
         }
-        by_gene: defaultdict[str, list[AnnotationRecord]] = defaultdict(list)
-        for record in gene_annotations or []:
-            by_gene[record.gene_id].append(record)
-        self.annotations_by_gene = dict(by_gene)
+        self.gene_annotations = gene_annotations or {}
 
     def graph_for(self, entity_type: str) -> OntologyGraph:
         namespace = TYPE_NAMESPACE.get(entity_type)
@@ -376,9 +373,7 @@ class EntityResolver:
     def resolve(self, mention: EntityMention) -> ontology.RepresentativeChoice:
         graph = self.graph_for(mention.entity_type)
         if mention.entity_type == "gene":
-            return ontology.representative_concept(
-                graph, self.annotations_by_gene.get(mention.kb_id, []), mention.kb_id
-            )
+            return ontology.representative_concept(graph, self.gene_annotations, mention.kb_id)
         kb_id = mention.kb_id
         if graph.contains(kb_id):
             return ontology.RepresentativeChoice(graph.resolve(kb_id), False)

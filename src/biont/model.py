@@ -683,9 +683,14 @@ def load_model(stream: TextIO) -> tuple[ModelParams, dict[str, dict[str, int]]]:
         if entry is None:
             raise ShapeMismatch(f"model file lacks tensor {name!r}")
         try:
-            array = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            flat = np.array(entry["data"], dtype=np.float64)
+            array = flat.reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ShapeMismatch(f"tensor {name!r}: {exc}") from exc
+        if flat.ndim != 1:
+            raise ShapeMismatch(f"tensor {name!r}: data is not a flat list")
+        if not np.isfinite(flat).all():
+            raise ShapeMismatch(f"tensor {name!r} holds a non-finite value")
         if array.ndim != len(shape) or any(
             want is not None and got != want for got, want in zip(array.shape, shape)
         ):

@@ -252,22 +252,15 @@ def common_ancestors(graph: OntologyGraph, id1: str, id2: str) -> list[str]:
 # --- GAF --------------------------------------------------------------------
 
 
-@dataclass
-class AnnotationRecord:
-    gene_id: str
-    concept_id: str
-    evidence_code: str
-    qualifier_negated: bool = False
-
-
-def parse_gaf(stream: Iterable[str] | TextIO) -> list[AnnotationRecord]:
-    """Parse a GAF 2.x annotation file.
+def parse_gaf(stream: Iterable[str] | TextIO) -> dict[str, list[tuple[str, str]]]:
+    """Parse a GAF 2.x annotation file into gene id -> [(concept id, evidence code)].
 
     Lines starting with "!" are comments.  Columns used (1-based): 2 gene id,
-    4 qualifier, 5 concept id, 7 evidence code.  A qualifier containing NOT
-    marks the record negated.
+    4 qualifier, 5 concept id, 7 evidence code.  Every line is checked (column
+    count, then evidence code) before a record whose qualifier contains NOT
+    is dropped.  Each gene's pairs keep file order.
     """
-    records: list[AnnotationRecord] = []
+    annotations: dict[str, list[tuple[str, str]]] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("!"):
@@ -278,15 +271,10 @@ def parse_gaf(stream: Iterable[str] | TextIO) -> list[AnnotationRecord]:
         evidence = cols[6].strip()
         if not (2 <= len(evidence) <= 4 and evidence.isalpha() and evidence.isupper()):
             raise MalformedLine(f"GAF line {lineno}: bad evidence code {evidence!r}")
-        records.append(
-            AnnotationRecord(
-                gene_id=cols[1].strip(),
-                concept_id=cols[4].strip(),
-                evidence_code=evidence,
-                qualifier_negated="NOT" in cols[3],
-            )
-        )
-    return records
+        if "NOT" in cols[3]:
+            continue
+        annotations.setdefault(cols[1].strip(), []).append((cols[4].strip(), evidence))
+    return annotations
 
 
 class RepresentativeChoice(NamedTuple):
@@ -296,25 +284,24 @@ class RepresentativeChoice(NamedTuple):
 
 def representative_concept(
     graph: OntologyGraph,
-    annotations: Iterable[AnnotationRecord],
+    annotations: dict[str, list[tuple[str, str]]],
     gene_id: str,
 ) -> RepresentativeChoice:
     """Pick the single concept that stands in for a gene.
 
-    Negated records and unknown/obsolete concepts are discarded.  Among the
-    survivors, experimentally-evidenced records outrank the rest; within a
-    rank the deepest concept wins, ties on the smaller id.  A gene with no
-    usable record maps to the lexicographically smallest root, flagged.
+    `annotations` is the table `parse_gaf` returns.  Unknown/obsolete
+    concepts are discarded.  Among the survivors, experimentally-evidenced
+    records outrank the rest; within a rank the deepest concept wins, ties on
+    the smaller id.  A gene with no usable record maps to the
+    lexicographically smallest root, flagged.
     """
     usable: list[tuple[bool, int, str]] = []
-    for record in annotations:
-        if record.gene_id != gene_id or record.qualifier_negated:
+    for concept_id, evidence in annotations.get(gene_id, ()):
+        try:
+            primary = graph.resolve(concept_id)
+        except (UnknownConcept, ObsoleteConcept):
             continue
-        if not graph.contains(record.concept_id):
-            continue
-        primary = graph.resolve(record.concept_id)
-        experimental = record.evidence_code in EXPERIMENTAL_CODES
-        usable.append((experimental, graph.depth_map[primary], primary))
+        usable.append((evidence in EXPERIMENTAL_CODES, graph.depth_map[primary], primary))
     if not usable:
         return RepresentativeChoice(min(graph.roots), True)
     pool = [u for u in usable if u[0]] or usable

@@ -36,18 +36,14 @@ def split_dataset(
     ceil(fraction * n_groups) go to train.
     """
     groups: dict[str, list[Instance]] = {}
-    order: list[str] = []
     for instance in instances:
-        if instance.sentence_id not in groups:
-            groups[instance.sentence_id] = []
-            order.append(instance.sentence_id)
-        groups[instance.sentence_id].append(instance)
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(len(order))
-    shuffled = [order[i] for i in perm]
-    n_train = math.ceil(fraction * len(order))
-    train = [i for key in shuffled[:n_train] for i in groups[key]]
-    test = [i for key in shuffled[n_train:] for i in groups[key]]
+        groups.setdefault(instance.sentence_id, []).append(instance)
+    members = list(groups.values())
+    perm = np.random.default_rng(seed).permutation(len(members))
+    shuffled = [members[i] for i in perm]
+    n_train = math.ceil(fraction * len(members))
+    train = [i for group in shuffled[:n_train] for i in group]
+    test = [i for group in shuffled[n_train:] for i in group]
     return train, test
 
 
@@ -65,7 +61,7 @@ def _load_resolver(config: RunConfig) -> EntityResolver:
     for namespace, path in config.xref.items():
         with open(path, encoding="utf-8") as handle:
             xref[namespace] = inst_mod.load_xref_table(handle)
-    annotations = []
+    annotations = {}
     if config.gaf is not None:
         with open(config.gaf, encoding="utf-8") as handle:
             annotations = ontology.parse_gaf(handle)

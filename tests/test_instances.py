@@ -283,31 +283,33 @@ def test_resolver_gene_goes_through_annotations(pgr_resolver):
     assert choice == ("GO:0000004", False)
 
 
-def test_resolver_gene_choice_matches_scan_of_all_records(fixtures, gaf_records):
-    # Oracle: the resolver's per-gene grouping must pick what a scan of every
-    # record picks, for each annotated gene and for one that is absent.
+def test_resolver_gene_choice_matches_scan_of_all_records(fixtures):
+    # Oracle: the resolver's per-gene lookup must pick what a direct call on
+    # the parsed table picks, for each annotated gene and for one that is absent.
     obo = (fixtures / "go_mini.obo").read_text(encoding="utf-8")
     go = ontology.parse_obo(
         io.StringIO(obo + "\n[Term]\nid: GO:0000009\nname: gone\nis_obsolete: true\n"),
         namespace="go",
     )
 
-    def record(gene, concept, evidence, negated=False):
-        return ontology.AnnotationRecord(gene, concept, evidence, negated)
+    def line(gene, concept, evidence, qualifier="involved_in"):
+        return "\t".join(["FIX", gene, "SYM", qualifier, concept, "PMID:1", evidence]) + "\n"
 
     extra = [
         # only an obsolete and an unknown concept: falls back to the root
-        record("4444", "GO:0000009", "EXP"),
-        record("4444", "GO:9999999", "IDA"),
+        line("4444", "GO:0000009", "EXP"),
+        line("4444", "GO:9999999", "IDA"),
         # an obsolete experimental record must not outrank a usable IEA one
-        record("3333", "GO:0000009", "IDA"),
-        record("3333", "GO:0000005", "IEA"),
+        line("3333", "GO:0000009", "IDA"),
+        line("3333", "GO:0000005", "IEA"),
         # negated only: falls back to the root
-        record("2222", "GO:0000006", "IDA", negated=True),
+        line("2222", "GO:0000006", "IDA", qualifier="NOT|involved_in"),
     ]
-    records = gaf_records[:3] + extra + gaf_records[3:]
+    gaf = (fixtures / "gene_annotations.gaf").read_text(encoding="utf-8").splitlines(True)
+    # the comment line and gene 672's three records, then the extras, then the rest
+    records = ontology.parse_gaf(gaf[:4] + extra + gaf[4:])
     resolver = inst.EntityResolver({"go": go}, gene_annotations=records)
-    genes = sorted({r.gene_id for r in records}) + ["absent"]
+    genes = sorted(set(records) | {"2222"}) + ["absent"]
     choices = {}
     for gene in genes:
         choices[gene] = resolver.resolve(mention(0, 1, etype="gene", kb=gene))

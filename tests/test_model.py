@@ -438,6 +438,18 @@ def test_load_model_rejects_resized_bias(name, shape):
         m.load_model(io.StringIO(json.dumps(payload)))
 
 
+@pytest.mark.parametrize("data", ["[1e400, 0.0]", "[NaN, 0.0]", "[[0.1], [0.2]]"],
+                         ids=["overflow", "nan", "nested"])
+def test_load_model_rejects_bad_tensor_data(data):
+    # json reads 1e400 as inf; a nested list has the right element count
+    params, _, _ = tiny_setup()
+    payload = saved_payload(params)
+    payload["tensors"]["out.b"]["data"] = "DATA"
+    text = json.dumps(payload).replace('"DATA"', data)
+    with pytest.raises(ShapeMismatch, match="out.b"):
+        m.load_model(io.StringIO(text))
+
+
 @pytest.mark.parametrize("token, index", [("extra", 3), ("w2", "x"), ("w2", 4), ("w2", -1)],
                          ids=["extra-entry", "non-integer", "past-end", "negative"])
 def test_load_model_rejects_vocabulary_that_disagrees_with_spec(token, index):

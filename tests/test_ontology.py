@@ -285,23 +285,23 @@ def test_query_dag_matches_oracles_with_obsolete_terms_and_alt_id_parents():
 
 
 def test_parse_gaf_reads_fixture(gaf_records):
-    assert len(gaf_records) == 8
-    first = gaf_records[0]
-    assert first.gene_id == "672"
-    assert first.concept_id == "GO:0000004"
-    assert first.evidence_code == "IDA"
-    assert first.qualifier_negated is False
-    negated = [r for r in gaf_records if r.qualifier_negated]
-    assert len(negated) == 1
-    assert negated[0].concept_id == "GO:0000006"
+    # gene 672's NOT-qualified record is dropped; the others keep file order
+    assert gaf_records == {
+        "672": [("GO:0000004", "IDA"), ("GO:0000006", "IEA")],
+        "7157": [("GO:0000004", "IDA"), ("GO:0000005", "IMP")],
+        "9999": [("GO:0000007", "EXP"), ("GO:0000004", "IMP")],
+        "8888": [("GO:0000006", "IEA")],
+    }
+
+
+def gaf_line(gene, concept, evidence, qualifier=""):
+    return "\t".join(["DB", gene, "SYM", qualifier, concept, "REF", evidence]) + "\n"
 
 
 def test_parse_gaf_skips_comments_and_blanks():
-    text = "!gaf-version: 2.1\n\n" + "\t".join(
-        ["DB", "g1", "SYM", "", "GO:0000001", "REF", "IDA"]
-    ) + "\n"
+    text = "!gaf-version: 2.1\n\n" + gaf_line("g1", "GO:0000001", "IDA")
     records = ontology.parse_gaf(io.StringIO(text))
-    assert len(records) == 1
+    assert records == {"g1": [("GO:0000001", "IDA")]}
 
 
 def test_parse_gaf_short_line_raises():
@@ -309,11 +309,24 @@ def test_parse_gaf_short_line_raises():
         ontology.parse_gaf(io.StringIO("DB\tg1\tSYM\t\tGO:0000001\tREF\n"))
 
 
+def test_parse_gaf_short_line_after_valid_lines_names_its_line():
+    text = (gaf_line("g1", "GO:0000001", "IDA") + gaf_line("g2", "GO:0000002", "IEA", "NOT")
+            + "DB\tg3\tSYM\t\tGO:0000003\tREF\n")
+    with pytest.raises(MalformedLine, match="GAF line 3:"):
+        ontology.parse_gaf(io.StringIO(text))
+
+
 @pytest.mark.parametrize("evidence", ["I", "ida", "ABCDE", "ID4", ""])
 def test_parse_gaf_bad_evidence_code_raises(evidence):
     line = "\t".join(["DB", "g1", "SYM", "", "GO:0000001", "REF", evidence]) + "\n"
     with pytest.raises(MalformedLine):
         ontology.parse_gaf(io.StringIO(line))
+
+
+def test_parse_gaf_negated_line_with_bad_evidence_code_raises():
+    # a NOT record is dropped only after its line passes every check
+    with pytest.raises(MalformedLine, match="bad evidence code"):
+        ontology.parse_gaf(io.StringIO(gaf_line("g1", "GO:0000001", "ida", "NOT")))
 
 
 # --- representative concept ---------------------------------------------------

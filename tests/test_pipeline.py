@@ -476,6 +476,43 @@ def test_cli_non_utf8_config_exits_one(fixtures, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mutation", [
+    {"train": {"epochs": "3"}},
+    {"train": {"learning_rate": None}},
+    {"train": {"batch_size": True}},
+    {"train": {"learning_rate": float("nan")}},
+    {"train": []},
+    {"model": {"hidden_dim": True}},
+    {"model": ["hidden_dim"]},
+    {"ontologies": ["chebi"]},
+    {"channels": ["words"]},
+    {"xref": ["x"]},
+    {"seed": False},
+    {"truthy_tokens": 5},
+], ids=lambda mutation: json.dumps(mutation))
+def test_cli_wrong_typed_config_value_exits_one(fixtures, tmp_path, capsys, mutation):
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json", mutate=mutation)
+    assert run_cli("preprocess", "--config", str(config),
+                   "--out", str(tmp_path / "x.jsonl")) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_model_with_non_finite_value_exits_two(fixtures, tmp_path, capsys):
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    model = tmp_path / "model.json"
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload["tensors"]["out.b"]["data"] = "DATA"
+    model.write_text(json.dumps(payload).replace('"DATA"', "[1e400, 0.0]"), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(model), "--in",
+                   str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "out.b" in err and "non-finite" in err
+    assert "Traceback" not in err
+
+
 def test_cli_two_runs_are_byte_identical(fixtures, tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"
