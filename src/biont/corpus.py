@@ -14,6 +14,7 @@ Every reader emits the same two shapes: SentenceRecord and GoldRelation.
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -266,7 +267,7 @@ def parse_pgr_tsv(
 
 def parse_pubtator(
     stream: Iterable[str] | TextIO,
-    diagnostics: dict[str, int] | None = None,
+    diagnostics: Counter[str] | None = None,
 ) -> list[PubTatorDocument]:
     """Parse PubTator abstracts with mention and CID relation lines.
 
@@ -326,9 +327,7 @@ def parse_pubtator(
         for lineno, cols in relation_rows:
             if cols[1] != "CID":
                 if diagnostics is not None:
-                    diagnostics["unknown_relation_tag"] = (
-                        diagnostics.get("unknown_relation_tag", 0) + 1
-                    )
+                    diagnostics["unknown_relation_tag"] += 1
                 continue
             relations.append(
                 GoldRelation(
@@ -399,7 +398,7 @@ def segment_sentences(
 def project_document_relations(
     document: PubTatorDocument,
     spans: list[tuple[int, int]],
-    diagnostics: dict[str, int] | None = None,
+    diagnostics: Counter[str] | None = None,
 ) -> tuple[list[SentenceRecord], list[GoldRelation]]:
     """Project document-level CID relations onto sentences.
 
@@ -451,8 +450,5 @@ def project_document_relations(
         if any(s <= m.char_start and m.char_end <= e for s, e in spans)
     )
     if diagnostics is not None and covered < len(document.mentions):
-        diagnostics["mention_outside_sentence"] = (
-            diagnostics.get("mention_outside_sentence", 0)
-            + len(document.mentions) - covered
-        )
+        diagnostics["mention_outside_sentence"] += len(document.mentions) - covered
     return sentences, relations

@@ -10,7 +10,7 @@ ancestors when the pair shares an entity type).
 from __future__ import annotations
 
 import json
-from collections import deque
+from collections import Counter, deque
 from dataclasses import asdict, dataclass
 from typing import Iterable, TextIO
 
@@ -127,7 +127,7 @@ def _misc_offsets(misc: str) -> tuple[int, int] | None:
 def load_conllu(
     lines: Iterable[str],
     sentence_text: str,
-    diagnostics: dict[str, int] | None = None,
+    diagnostics: Counter[str] | None = None,
 ) -> list[ParsedToken]:
     """Read one sentence's CoNLL-U token lines.
 
@@ -183,7 +183,7 @@ def load_conllu(
         if t.head == 0:
             roots += 1
     if roots > 1 and diagnostics is not None:
-        diagnostics["multiple_roots"] = diagnostics.get("multiple_roots", 0) + 1
+        diagnostics["multiple_roots"] += 1
     return tokens
 
 
@@ -398,7 +398,7 @@ def build_instance(
     lexicon: SupersenseLexicon,
     tokens: list[ParsedToken],
     label: str = "unlabeled",
-    diagnostics: dict[str, int] | None = None,
+    diagnostics: Counter[str] | None = None,
 ) -> Instance:
     """Assemble one instance for a candidate mention pair.
 
@@ -412,9 +412,7 @@ def build_instance(
     if diagnostics is not None:
         for choice in (choice1, choice2):
             if choice.fallback:
-                diagnostics["gene_fallback_root"] = (
-                    diagnostics.get("gene_fallback_root", 0) + 1
-                )
+                diagnostics["gene_fallback_root"] += 1
 
     h1 = head_token(tokens, m1)
     h2 = head_token(tokens, m2)
@@ -478,7 +476,7 @@ def generate_instances(
     resolver: EntityResolver,
     lexicon: SupersenseLexicon,
     parses: dict[str, list[ParsedToken]],
-    diagnostics: dict[str, int] | None = None,
+    diagnostics: Counter[str] | None = None,
 ) -> list[Instance]:
     """Enumerate candidate pairs sentence by sentence and build instances.
 
@@ -488,7 +486,8 @@ def generate_instances(
     unlabeled (prediction mode).  Pairs sharing a kb id are skipped.  Emission
     order is sorted by (sentence_id, mention ids).
     """
-    diag = diagnostics if diagnostics is not None else {}
+    if diagnostics is None:
+        diagnostics = Counter()
     labeled_mode = bool(relations)
     label_index: dict[str, dict[tuple[str, str], str]] = {}
     for r in relations:
@@ -500,19 +499,16 @@ def generate_instances(
         if per_sentence.get(key) != "positive":
             per_sentence[key] = r.label
 
-    def bump(reason: str) -> None:
-        diag[reason] = diag.get(reason, 0) + 1
-
     instances: list[Instance] = []
     for sentence in sorted(sentences, key=lambda s: s.sentence_id):
         tokens = parses.get(sentence.sentence_id)
         per_sentence = label_index.get(sentence.sentence_id, {})
         for m1, m2 in _candidate_pairs(sentence, pair_types):
             if m1.kb_id == m2.kb_id:
-                bump("self_pair")
+                diagnostics["self_pair"] += 1
                 continue
             if tokens is None:
-                bump("missing_parse")
+                diagnostics["missing_parse"] += 1
                 continue
             if labeled_mode:
                 key = tuple(sorted((m1.kb_id, m2.kb_id)))
@@ -521,16 +517,16 @@ def generate_instances(
                 label = "unlabeled"
             try:
                 instance = build_instance(
-                    sentence, (m1, m2), resolver, lexicon, tokens, label, diag
+                    sentence, (m1, m2), resolver, lexicon, tokens, label, diagnostics
                 )
             except UnmappableEntity:
-                bump("unmappable_entity")
+                diagnostics["unmappable_entity"] += 1
                 continue
             except Disconnected:
-                bump("disconnected")
+                diagnostics["disconnected"] += 1
                 continue
             except NoOverlappingToken:
-                bump("no_overlapping_token")
+                diagnostics["no_overlapping_token"] += 1
                 continue
             instances.append(instance)
     instances.sort(key=lambda i: (i.sentence_id, i.pair))

@@ -74,48 +74,38 @@ class TrainConfig:
 
 
 @dataclass
-class LstmWeights:
-    W: np.ndarray  # (embed_dim, 4H)
-    R: np.ndarray  # (H, 4H)
-    b: np.ndarray  # (4H,)
-
-
-@dataclass
-class ChannelParams:
-    embedding: np.ndarray  # (vocab, embed_dim)
-    fwd: LstmWeights
-    bwd: LstmWeights
-
-
-@dataclass
 class ModelParams:
     specs: list[ChannelSpec]
-    channels: dict[str, ChannelParams]
-    dense_w: np.ndarray
-    dense_b: np.ndarray
-    out_w: np.ndarray
-    out_b: np.ndarray
-    version: str = MODEL_VERSION
-
-    def iter_tensors(self) -> Iterable[tuple[str, np.ndarray]]:
-        for spec in self.specs:
-            ch = self.channels[spec.name]
-            yield f"{spec.name}.embedding", ch.embedding
-            for direction, weights in (("fwd", ch.fwd), ("bwd", ch.bwd)):
-                yield f"{spec.name}.{direction}.W", weights.W
-                yield f"{spec.name}.{direction}.R", weights.R
-                yield f"{spec.name}.{direction}.b", weights.b
-        yield "dense.W", self.dense_w
-        yield "dense.b", self.dense_b
-        yield "out.W", self.out_w
-        yield "out.b", self.out_b
+    tensors: dict[str, np.ndarray]  # in `tensor_shapes` order
 
     def copy(self) -> "ModelParams":
         return copy.deepcopy(self)
 
-    @property
-    def dense_input_width(self) -> int:
-        return sum(2 * s.hidden_dim for s in self.specs)
+
+def tensor_shapes(
+    specs: list[ChannelSpec], dense_dim: int | None
+) -> list[tuple[str, tuple[int | None, ...]]]:
+    """Every tensor of the model as (name, shape), in model-file order, which
+    is also the order `init_params` draws them in: per channel the embedding,
+    then the forward and the backward LSTM's W, R and b; then the dense and
+    output layers.  A None dense_dim leaves that axis open."""
+    shapes: list[tuple[str, tuple[int | None, ...]]] = []
+    for spec in specs:
+        gates = 4 * spec.hidden_dim
+        shapes.append((f"{spec.name}.embedding", (spec.vocab_size, spec.embed_dim)))
+        for direction in ("fwd", "bwd"):
+            shapes += [
+                (f"{spec.name}.{direction}.W", (spec.embed_dim, gates)),
+                (f"{spec.name}.{direction}.R", (spec.hidden_dim, gates)),
+                (f"{spec.name}.{direction}.b", (gates,)),
+            ]
+    width = sum(2 * s.hidden_dim for s in specs)
+    return shapes + [
+        ("dense.W", (width, dense_dim)),
+        ("dense.b", (dense_dim,)),
+        ("out.W", (dense_dim, 2)),
+        ("out.b", (2,)),
+    ]
 
 
 # --- vocabularies and encoding ----------------------------------------------
@@ -306,42 +296,20 @@ def pretrained_embedding(
 # --- parameters ---------------------------------------------------------------
 
 
-def _init_lstm(rng: np.random.Generator, embed_dim: int, hidden: int) -> LstmWeights:
-    W = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(embed_dim, 4 * hidden))
-    R = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(hidden, 4 * hidden))
-    b = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(4 * hidden,))
-    b[hidden:2 * hidden] = 1.0  # forget gate
-    return LstmWeights(W=W, R=R, b=b)
-
-
 def init_params(specs: list[ChannelSpec], dense_dim: int, seed: int) -> ModelParams:
     """Uniform [-0.08, 0.08] init from a seeded PCG64 generator; the padding
     embedding row is fixed to zeros and forget-gate biases to 1.0."""
     rng = np.random.default_rng(seed)
-    channels: dict[str, ChannelParams] = {}
+    tensors = {
+        name: rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
+        for name, shape in tensor_shapes(specs, dense_dim)
+    }
     for spec in specs:
-        embedding = rng.uniform(
-            -_INIT_SCALE, _INIT_SCALE, size=(spec.vocab_size, spec.embed_dim)
-        )
-        embedding[PAD_INDEX] = 0.0
-        channels[spec.name] = ChannelParams(
-            embedding=embedding,
-            fwd=_init_lstm(rng, spec.embed_dim, spec.hidden_dim),
-            bwd=_init_lstm(rng, spec.embed_dim, spec.hidden_dim),
-        )
-    width = sum(2 * s.hidden_dim for s in specs)
-    dense_w = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(width, dense_dim))
-    dense_b = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(dense_dim,))
-    out_w = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(dense_dim, 2))
-    out_b = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(2,))
-    return ModelParams(
-        specs=specs,
-        channels=channels,
-        dense_w=dense_w,
-        dense_b=dense_b,
-        out_w=out_w,
-        out_b=out_b,
-    )
+        tensors[f"{spec.name}.embedding"][PAD_INDEX] = 0.0
+        H = spec.hidden_dim
+        for direction in ("fwd", "bwd"):
+            tensors[f"{spec.name}.{direction}.b"][H:2 * H] = 1.0  # forget gate
+    return ModelParams(specs=specs, tensors=tensors)
 
 
 # --- forward ------------------------------------------------------------------
@@ -357,16 +325,25 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _lstm_run(X: np.ndarray, weights: LstmWeights) -> tuple[np.ndarray, list[dict]]:
+def _lstm_weights(
+    tensors: dict[str, np.ndarray], channel: str, direction: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    prefix = f"{channel}.{direction}"
+    return tensors[f"{prefix}.W"], tensors[f"{prefix}.R"], tensors[f"{prefix}.b"]
+
+
+def _lstm_run(
+    X: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, list[dict]]:
     """Run the recurrence over (B, T, D) inputs; returns final h and a cache."""
     B, T, _ = X.shape
-    H = weights.R.shape[0]
+    H = R.shape[0]
     h = np.zeros((B, H))
     c = np.zeros((B, H))
     cache: list[dict] = []
     for t in range(T):
         x = X[:, t, :]
-        a = x @ weights.W + h @ weights.R + weights.b
+        a = x @ W + h @ R + b
         i = _sigmoid(a[:, 0 * H:1 * H])
         f = _sigmoid(a[:, 1 * H:2 * H])
         o = _sigmoid(a[:, 2 * H:3 * H])
@@ -383,19 +360,19 @@ def _lstm_run(X: np.ndarray, weights: LstmWeights) -> tuple[np.ndarray, list[dic
 
 
 def _lstm_backward(
-    d_h_final: np.ndarray, cache: list[dict], weights: LstmWeights
+    d_h_final: np.ndarray, cache: list[dict], W: np.ndarray, R: np.ndarray, b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backprop through time given the gradient at the final hidden state.
 
     Returns (dW, dR, db, dX) with dX shaped (B, T, D).
     """
-    H = weights.R.shape[0]
+    H = R.shape[0]
     T = len(cache)
     B = d_h_final.shape[0]
-    D = weights.W.shape[0]
-    dW = np.zeros_like(weights.W)
-    dR = np.zeros_like(weights.R)
-    db = np.zeros_like(weights.b)
+    D = W.shape[0]
+    dW = np.zeros_like(W)
+    dR = np.zeros_like(R)
+    db = np.zeros_like(b)
     dX = np.zeros((B, T, D))
     dh = d_h_final.copy()
     dc = np.zeros((B, H))
@@ -420,8 +397,8 @@ def _lstm_backward(
         dW += step["x"].T @ da
         dR += step["h_prev"].T @ da
         db += da.sum(axis=0)
-        dX[:, t, :] = da @ weights.W.T
-        dh = da @ weights.R.T
+        dX[:, t, :] = da @ W.T
+        dh = da @ R.T
         dc = dc * f
     return dW, dR, db, dX
 
@@ -431,6 +408,7 @@ def _forward_cache(
     batch: dict[str, np.ndarray],
     dropout_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict]:
+    p = params.tensors
     outputs: list[np.ndarray] = []
     channel_cache: dict[str, dict] = {}
     for spec in params.specs:
@@ -443,11 +421,10 @@ def _forward_cache(
             )
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= spec.vocab_size:
             raise ShapeMismatch(f"{spec.name}: token index out of range")
-        ch = params.channels[spec.name]
-        X = ch.embedding[ids]  # (B, T, D)
+        X = p[f"{spec.name}.embedding"][ids]  # (B, T, D)
         X_rev = X[:, ::-1, :]
-        h_fwd, cache_fwd = _lstm_run(X, ch.fwd)
-        h_bwd, cache_bwd = _lstm_run(X_rev, ch.bwd)
+        h_fwd, cache_fwd = _lstm_run(X, *_lstm_weights(p, spec.name, "fwd"))
+        h_bwd, cache_bwd = _lstm_run(X_rev, *_lstm_weights(p, spec.name, "bwd"))
         outputs.append(np.concatenate([h_fwd, h_bwd], axis=1))
         channel_cache[spec.name] = {
             "ids": ids, "fwd": cache_fwd, "bwd": cache_bwd
@@ -455,9 +432,9 @@ def _forward_cache(
     z = np.concatenate(outputs, axis=1)
     mask = dropout_mask if dropout_mask is not None else 1.0
     zd = z * mask
-    dense_pre = zd @ params.dense_w + params.dense_b
+    dense_pre = zd @ p["dense.W"] + p["dense.b"]
     dense = np.tanh(dense_pre)
-    logits = dense @ params.out_w + params.out_b
+    logits = dense @ p["out.W"] + p["out.b"]
     probs = softmax(logits)
     cache = {
         "channels": channel_cache,
@@ -497,8 +474,8 @@ def gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Analytic gradients of the weighted cross-entropy for one batch.
 
-    Returns (loss value, tensor-name -> gradient) with names matching
-    ModelParams.iter_tensors().  Pass no dropout mask when checking against
+    Returns (loss value, tensor-name -> gradient) with the names of
+    ModelParams.tensors.  Pass no dropout mask when checking against
     finite differences.
     """
     probs, cache = _forward_cache(params, batch, dropout_mask)
@@ -510,36 +487,33 @@ def gradients(
     dlogits[np.arange(B), labels] -= 1.0
     dlogits *= (weights / B)[:, None]
 
+    p = params.tensors
     dense = cache["dense"]
     grads: dict[str, np.ndarray] = {}
     grads["out.W"] = dense.T @ dlogits
     grads["out.b"] = dlogits.sum(axis=0)
-    ddense = dlogits @ params.out_w.T
+    ddense = dlogits @ p["out.W"].T
     dpre = ddense * (1.0 - dense ** 2)
     grads["dense.W"] = cache["zd"].T @ dpre
     grads["dense.b"] = dpre.sum(axis=0)
-    dz = (dpre @ params.dense_w.T) * cache["mask"]
+    dz = (dpre @ p["dense.W"].T) * cache["mask"]
 
     offset = 0
     for spec in params.specs:
-        H = spec.hidden_dim
-        ch = params.channels[spec.name]
-        ch_cache = cache["channels"][spec.name]
+        name, H = spec.name, spec.hidden_dim
+        ch_cache = cache["channels"][name]
         d_slice = dz[:, offset:offset + 2 * H]
         offset += 2 * H
-        dW_f, dR_f, db_f, dX_f = _lstm_backward(d_slice[:, :H], ch_cache["fwd"], ch.fwd)
-        dW_b, dR_b, db_b, dX_rev = _lstm_backward(d_slice[:, H:], ch_cache["bwd"], ch.bwd)
-        dX = dX_f + dX_rev[:, ::-1, :]
-        d_emb = np.zeros_like(ch.embedding)
-        ids = ch_cache["ids"]
-        np.add.at(d_emb, ids.ravel(), dX.reshape(-1, dX.shape[-1]))
-        grads[f"{spec.name}.embedding"] = d_emb
-        grads[f"{spec.name}.fwd.W"] = dW_f
-        grads[f"{spec.name}.fwd.R"] = dR_f
-        grads[f"{spec.name}.fwd.b"] = db_f
-        grads[f"{spec.name}.bwd.W"] = dW_b
-        grads[f"{spec.name}.bwd.R"] = dR_b
-        grads[f"{spec.name}.bwd.b"] = db_b
+        dX = {}
+        for direction, d_h in (("fwd", d_slice[:, :H]), ("bwd", d_slice[:, H:])):
+            dW, dR, db, dX[direction] = _lstm_backward(
+                d_h, ch_cache[direction], *_lstm_weights(p, name, direction))
+            prefix = f"{name}.{direction}"
+            grads[f"{prefix}.W"], grads[f"{prefix}.R"], grads[f"{prefix}.b"] = dW, dR, db
+        d_x = dX["fwd"] + dX["bwd"][:, ::-1, :]
+        d_emb = np.zeros_like(p[f"{name}.embedding"])
+        np.add.at(d_emb, ch_cache["ids"].ravel(), d_x.reshape(-1, d_x.shape[-1]))
+        grads[f"{name}.embedding"] = d_emb
     return loss_value, grads
 
 
@@ -572,7 +546,7 @@ def train(
     history: list[dict] = []
     best_params = params.copy()
     best_f = -1.0
-    width = params.dense_input_width
+    width = params.tensors["dense.W"].shape[0]
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(train_data))
         batch_losses: list[float] = []
@@ -590,12 +564,10 @@ def train(
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(epoch)
             batch_losses.append(batch_loss)
-            for name, tensor in params.iter_tensors():
-                grad = grads[name]
-                if name.endswith(".embedding"):
-                    grad = grad.copy()
-                    grad[PAD_INDEX] = 0.0  # padding row stays zero
-                tensor -= config.learning_rate * grad
+            for name, tensor in params.tensors.items():
+                tensor -= config.learning_rate * grads[name]
+            for spec in params.specs:
+                params.tensors[f"{spec.name}.embedding"][PAD_INDEX] = 0.0
         train_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
         if len(dev_data):
             probs = forward(params, dev_data.ids)
@@ -632,12 +604,12 @@ def save_model(
     """JSON model file: {version, specs, vocabularies, tensors}; tensors are
     {shape, data} with flat row-major data."""
     payload = {
-        "version": params.version,
+        "version": MODEL_VERSION,
         "specs": [asdict(s) for s in params.specs],
         "vocabularies": vocabs,
         "tensors": {
             name: {"shape": list(tensor.shape), "data": tensor.ravel().tolist()}
-            for name, tensor in params.iter_tensors()
+            for name, tensor in params.tensors.items()
         },
     }
     json.dump(payload, out, ensure_ascii=False)
@@ -670,14 +642,24 @@ def load_model(stream: TextIO) -> tuple[ModelParams, dict[str, dict[str, int]]]:
         specs = [ChannelSpec(**s) for s in raw_specs]
     except TypeError as exc:
         raise DataError(f"bad channel spec: {exc}") from exc
+    if not specs:
+        raise DataError("model file has no channels")
     for spec in specs:
         sizes = (spec.vocab_size, spec.embed_dim, spec.hidden_dim, spec.max_len)
-        if spec.name not in CHANNELS or not all(
+        if type(spec.name) is not str or spec.name not in CHANNELS or not all(
             type(n) is int and n > 0 for n in sizes
         ):
             raise DataError(f"bad channel spec: {asdict(spec)}")
+    if len({spec.name for spec in specs}) != len(specs):
+        raise DataError("model file names a channel twice")
+    for spec in specs:
+        vocab = vocabs.get(spec.name)
+        if not isinstance(vocab, dict) or len(vocab) != spec.vocab_size:
+            raise ShapeMismatch(f"{spec.name} vocabulary does not have {spec.vocab_size} entries")
+        if not all(type(i) is int and 0 <= i < spec.vocab_size for i in vocab.values()):
+            raise ShapeMismatch(f"{spec.name} vocabulary has an index outside its embedding")
 
-    def tensor(name: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    def read(name: str, shape: tuple[int | None, ...]) -> np.ndarray:
         # None in `shape` accepts any size along that axis.
         entry = tensors.get(name)
         if entry is None:
@@ -697,36 +679,9 @@ def load_model(stream: TextIO) -> tuple[ModelParams, dict[str, dict[str, int]]]:
             raise ShapeMismatch(f"tensor {name!r} has shape {array.shape}, expected {shape}")
         return array
 
-    def lstm(prefix: str, spec: ChannelSpec) -> LstmWeights:
-        gates = 4 * spec.hidden_dim
-        return LstmWeights(
-            W=tensor(f"{prefix}.W", (spec.embed_dim, gates)),
-            R=tensor(f"{prefix}.R", (spec.hidden_dim, gates)),
-            b=tensor(f"{prefix}.b", (gates,)),
-        )
-
-    channels: dict[str, ChannelParams] = {}
-    for spec in specs:
-        vocab = vocabs.get(spec.name)
-        if not isinstance(vocab, dict) or len(vocab) != spec.vocab_size:
-            raise ShapeMismatch(f"{spec.name} vocabulary does not have {spec.vocab_size} entries")
-        if not all(type(i) is int and 0 <= i < spec.vocab_size for i in vocab.values()):
-            raise ShapeMismatch(f"{spec.name} vocabulary has an index outside its embedding")
-        channels[spec.name] = ChannelParams(
-            embedding=tensor(f"{spec.name}.embedding", (spec.vocab_size, spec.embed_dim)),
-            fwd=lstm(f"{spec.name}.fwd", spec),
-            bwd=lstm(f"{spec.name}.bwd", spec),
-        )
-    width = sum(2 * s.hidden_dim for s in specs)
-    dense_w = tensor("dense.W", (width, None))
-    dense_dim = dense_w.shape[1]
+    dense_dim = read("dense.W", dict(tensor_shapes(specs, None))["dense.W"]).shape[1]
     params = ModelParams(
         specs=specs,
-        channels=channels,
-        dense_w=dense_w,
-        dense_b=tensor("dense.b", (dense_dim,)),
-        out_w=tensor("out.W", (dense_dim, 2)),
-        out_b=tensor("out.b", (2,)),
-        version=version,
+        tensors={name: read(name, shape) for name, shape in tensor_shapes(specs, dense_dim)},
     )
     return params, vocabs

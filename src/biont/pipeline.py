@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +70,7 @@ def _load_resolver(config: RunConfig) -> EntityResolver:
 
 
 def _read_corpus(
-    config: RunConfig, diagnostics: dict[str, int]
+    config: RunConfig, diagnostics: Counter[str]
 ) -> tuple[list[corpus_mod.SentenceRecord], list[corpus_mod.GoldRelation]]:
     with open(config.corpus_path, encoding="utf-8") as handle:
         if config.corpus == "ddi":
@@ -92,7 +93,7 @@ def _read_corpus(
 def _load_parses(
     config: RunConfig,
     sentences: list[corpus_mod.SentenceRecord],
-    diagnostics: dict[str, int],
+    diagnostics: Counter[str],
 ) -> dict[str, list[inst_mod.ParsedToken]]:
     with open(config.parses, encoding="utf-8") as handle:
         blocks = inst_mod.read_conllu_blocks(handle)
@@ -107,7 +108,7 @@ def _load_parses(
     return parses
 
 
-def _diagnostics_report(diagnostics: dict[str, int]) -> str:
+def _diagnostics_report(diagnostics: Counter[str]) -> str:
     merged = {reason: 0 for reason in CANONICAL_SKIP_REASONS}
     merged.update(diagnostics)
     lines = ["reason\tcount"]
@@ -118,11 +119,11 @@ def _diagnostics_report(diagnostics: dict[str, int]) -> str:
 
 def cmd_preprocess(
     config: RunConfig, out_path: str | Path, report_path: str | Path | None = None
-) -> tuple[list[Instance], dict[str, int]]:
+) -> tuple[list[Instance], Counter[str]]:
     """Corpus + ontologies + parses -> instances JSON-lines + diagnostics TSV."""
     out_path = Path(out_path)
     report = Path(report_path) if report_path else out_path.with_suffix(".report.tsv")
-    diagnostics: dict[str, int] = {}
+    diagnostics: Counter[str] = Counter()
     resolver = _load_resolver(config)
     with open(config.lexicon, encoding="utf-8") as handle:
         lexicon = inst_mod.load_lexicon(handle)
@@ -180,7 +181,7 @@ def cmd_train(
     specs = _build_specs(config, vocabs)
     params = model_mod.init_params(specs, config.model.dense_dim, config.train.seed)
     if vectors is not None:
-        params.channels["words"].embedding = model_mod.pretrained_embedding(
+        params.tensors["words.embedding"] = model_mod.pretrained_embedding(
             words, vectors, vocabs["words"], config.train.seed
         )
         del words, vectors  # free the parsed rows before training

@@ -120,7 +120,7 @@ def test_analytic_gradients_match_finite_differences():
     def loss_fn():
         return m.loss(m.forward(params, batch), labels, 2.0)
 
-    for name, tensor in params.iter_tensors():
+    for name, tensor in params.tensors.items():
         numeric = finite_difference_gradients(loss_fn, tensor, eps=1e-5)
         err = max_relative_error(grads[name], numeric)
         assert err < 1e-4, f"{name}: max relative error {err:.3e}"

@@ -1,6 +1,7 @@
 """Corpus readers, sentence segmentation, document-to-sentence projection."""
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -185,7 +186,7 @@ def test_pgr_non_truthy_token_is_negative():
 
 
 def test_parse_pubtator_fixture(fixtures):
-    diagnostics = {}
+    diagnostics = Counter()
     with open(fixtures / "cdr_corpus.txt", encoding="utf-8") as handle:
         documents = corpus.parse_pubtator(handle, diagnostics)
     assert len(documents) == 1
@@ -210,7 +211,7 @@ def test_pubtator_non_cid_tag_is_counted_and_ignored():
         "7\t0\t5\tAlpha\tChemical\tD000001\n"
         "7\tCOOCCURS\tD000001\tD000002\n"
     )
-    diagnostics = {}
+    diagnostics = Counter()
     documents = corpus.parse_pubtator(io.StringIO(text), diagnostics)
     assert documents[0].relations == []
     assert diagnostics["unknown_relation_tag"] == 1
@@ -321,7 +322,7 @@ def test_projection_counts_uncovered_mentions():
     )
     spans = corpus.segment_sentences(doc.text)
     assert len(spans) == 2
-    diagnostics = {}
+    diagnostics = Counter()
     sentences, relations = corpus.project_document_relations(doc, spans, diagnostics)
     assert diagnostics["mention_outside_sentence"] == 1
     assert all(not s.entities for s in sentences)

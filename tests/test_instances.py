@@ -1,6 +1,7 @@
 """Dependency parses, path extraction, masking, and instance generation."""
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -135,7 +136,7 @@ def test_load_conllu_multiple_roots_counted():
         "1\ta\ta\tX\t_\t_\t0\troot\t_\t_",
         "2\tb\tb\tX\t_\t_\t0\troot\t_\t_",
     ]
-    diagnostics = {}
+    diagnostics = Counter()
     inst.load_conllu(lines, "a b", diagnostics)
     assert diagnostics["multiple_roots"] == 1
 
@@ -328,7 +329,7 @@ def test_resolver_unconfigured_type_raises(ddi_resolver):
 
 def test_ddi_instances_complete_content(ddi_data, ddi_resolver, lexicon):
     sentences, relations, parses = ddi_data
-    diagnostics = {}
+    diagnostics = Counter()
     instances = inst.generate_instances(
         sentences, relations, ("drug", "drug"), ddi_resolver, lexicon, parses,
         diagnostics,
@@ -459,7 +460,7 @@ def test_self_pair_skipped_with_diagnostic(ddi_resolver, lexicon):
         ],
         record.text,
     )}
-    diagnostics = {}
+    diagnostics = Counter()
     instances = inst.generate_instances(
         [record], [], ("drug", "drug"), ddi_resolver, lexicon, parses, diagnostics
     )
@@ -473,7 +474,7 @@ def test_missing_parse_skipped_with_diagnostic(ddi_resolver, lexicon):
         mention(0, 7, mid="x.s0.e0", kb="aspirin"),
         mention(9, 17, mid="x.s0.e1", kb="warfarin"),
     ]
-    diagnostics = {}
+    diagnostics = Counter()
     instances = inst.generate_instances(
         [record], [], ("drug", "drug"), ddi_resolver, lexicon, {}, diagnostics
     )
@@ -496,7 +497,7 @@ def test_unmappable_entity_skipped_with_diagnostic(ddi_resolver, lexicon):
         ],
         record.text,
     )}
-    diagnostics = {}
+    diagnostics = Counter()
     instances = inst.generate_instances(
         [record], [], ("drug", "drug"), ddi_resolver, lexicon, parses, diagnostics
     )
@@ -516,7 +517,7 @@ def test_shared_head_token_counts_as_disconnected(ddi_resolver, lexicon):
          "2\t.\t.\tPUNCT\t_\t_\t1\tpunct\t_\t_"],
         record.text,
     )}
-    diagnostics = {}
+    diagnostics = Counter()
     instances = inst.generate_instances(
         [record], [], ("drug", "drug"), ddi_resolver, lexicon, parses, diagnostics
     )
@@ -562,7 +563,7 @@ def test_gene_fallback_root_diagnostic(pgr_resolver, lexicon):
         ],
         record.text,
     )}
-    diagnostics = {}
+    diagnostics = Counter()
     instances = inst.generate_instances(
         [record], [], ("gene", "phenotype"), pgr_resolver, lexicon, parses, diagnostics
     )

@@ -178,20 +178,20 @@ def test_load_word_vectors_non_numeric_raises():
 def test_init_params_deterministic_and_bounded():
     params1, _, _ = tiny_setup(seed=9)
     params2, _, _ = tiny_setup(seed=9)
-    for (name1, t1), (name2, t2) in zip(params1.iter_tensors(), params2.iter_tensors()):
+    for (name1, t1), (name2, t2) in zip(params1.tensors.items(), params2.tensors.items()):
         assert name1 == name2
         assert np.array_equal(t1, t2)
         assert np.all(np.abs(t1) <= 1.0)
     params3, _, _ = tiny_setup(seed=10)
-    assert not np.array_equal(params1.channels["words"].embedding,
-                              params3.channels["words"].embedding)
+    assert not np.array_equal(params1.tensors["words.embedding"],
+                              params3.tensors["words.embedding"])
 
 
 def test_init_params_forget_gate_bias_is_one():
     params, _, _ = tiny_setup(hidden=2)
-    for channel in params.channels.values():
-        for weights in (channel.fwd, channel.bwd):
-            bias = weights.b
+    for spec in params.specs:
+        for direction in ("fwd", "bwd"):
+            bias = params.tensors[f"{spec.name}.{direction}.b"]
             assert bias[2:4].tolist() == [1.0, 1.0]  # forget block
             assert np.all(np.abs(bias[:2]) <= 0.08)
             assert np.all(np.abs(bias[4:]) <= 0.08)
@@ -199,8 +199,8 @@ def test_init_params_forget_gate_bias_is_one():
 
 def test_init_params_padding_row_is_zero():
     params, _, _ = tiny_setup()
-    for channel in params.channels.values():
-        assert np.all(channel.embedding[m.PAD_INDEX] == 0.0)
+    for spec in params.specs:
+        assert np.all(params.tensors[f"{spec.name}.embedding"][m.PAD_INDEX] == 0.0)
 
 
 # --- forward ------------------------------------------------------------------------
@@ -261,7 +261,7 @@ def test_gradients_match_finite_differences_quick():
         probs = m.forward(params, batch)
         return m.loss(probs, labels, 2.0)
 
-    for name, tensor in params.iter_tensors():
+    for name, tensor in params.tensors.items():
         numeric = finite_difference_gradients(loss_fn, tensor)
         err = max_relative_error(grads[name], numeric)
         assert err < 1e-4, f"{name}: relative error {err}"
@@ -270,8 +270,8 @@ def test_gradients_match_finite_differences_quick():
 def test_gradient_names_cover_all_tensors():
     params, batch, labels = tiny_setup()
     _, grads = m.gradients(params, batch, labels)
-    assert set(grads) == {name for name, _ in params.iter_tensors()}
-    for name, tensor in params.iter_tensors():
+    assert set(grads) == {name for name, _ in params.tensors.items()}
+    for name, tensor in params.tensors.items():
         assert grads[name].shape == tensor.shape
 
 
@@ -292,7 +292,7 @@ def test_train_zero_epochs_returns_initial_params():
     config = m.TrainConfig(epochs=0)
     best, history = m.train(params.copy(), data, data, config)
     assert history == []
-    for (_, t1), (_, t2) in zip(best.iter_tensors(), params.iter_tensors()):
+    for (_, t1), (_, t2) in zip(best.tensors.items(), params.tensors.items()):
         assert np.array_equal(t1, t2)
 
 
@@ -307,7 +307,7 @@ def test_train_records_history_and_is_deterministic():
     assert [row["epoch"] for row in history1] == [1, 2, 3]
     for row in history1:
         assert set(row) == {"epoch", "train_loss", "dev_f"}
-    for (_, t1), (_, t2) in zip(best1.iter_tensors(), best2.iter_tensors()):
+    for (_, t1), (_, t2) in zip(best1.tensors.items(), best2.tensors.items()):
         assert np.array_equal(t1, t2)
 
 
@@ -329,8 +329,8 @@ def test_train_padding_embedding_row_stays_zero():
     config = m.TrainConfig(learning_rate=0.5, epochs=4, batch_size=2,
                            dropout_keep=1.0, seed=1)
     best, _ = m.train(params, data, data, config)
-    for channel in best.channels.values():
-        assert np.all(channel.embedding[m.PAD_INDEX] == 0.0)
+    for spec in best.specs:
+        assert np.all(best.tensors[f"{spec.name}.embedding"][m.PAD_INDEX] == 0.0)
 
 
 def test_train_rejects_unlabeled_instances():
@@ -342,7 +342,7 @@ def test_train_rejects_unlabeled_instances():
 
 def test_train_raises_non_finite_loss_with_epoch():
     params, batch, labels = tiny_setup()
-    params.out_b[0] = np.nan
+    params.tensors["out.b"][0] = np.nan
     data = dataset_from(batch, labels)
     with pytest.raises(NonFiniteLoss) as err:
         m.train(params, data, data, m.TrainConfig(epochs=2))
@@ -383,6 +383,12 @@ def vocab_stub(params):
     }
 
 
+def saved_payload(params):
+    buffer = io.StringIO()
+    m.save_model(params, vocab_stub(params), buffer)
+    return json.loads(buffer.getvalue())
+
+
 def test_save_load_round_trip_is_bit_identical():
     params, batch, _ = tiny_setup()
     vocabs = vocab_stub(params)
@@ -391,11 +397,27 @@ def test_save_load_round_trip_is_bit_identical():
     buffer.seek(0)
     loaded, loaded_vocabs = m.load_model(buffer)
     assert loaded_vocabs == vocabs
-    for (name1, t1), (name2, t2) in zip(params.iter_tensors(), loaded.iter_tensors()):
+    for (name1, t1), (name2, t2) in zip(params.tensors.items(), loaded.tensors.items()):
         assert name1 == name2
         assert t1.dtype == t2.dtype == np.float64
         assert np.array_equal(t1, t2)
     assert np.array_equal(m.forward(params, batch), m.forward(loaded, batch))
+
+
+def test_init_model_file_matches_golden(fixtures):
+    # the four-channel specs of the acceptance finite-difference test; the
+    # golden file pins tensor names, order, shapes and the RNG draw order
+    specs = [
+        m.ChannelSpec("words", vocab_size=4, embed_dim=3, hidden_dim=2, max_len=4),
+        m.ChannelSpec("classes", vocab_size=4, embed_dim=2, hidden_dim=2, max_len=4),
+        m.ChannelSpec("onto_concat", vocab_size=4, embed_dim=2, hidden_dim=2, max_len=4),
+        m.ChannelSpec("onto_common", vocab_size=3, embed_dim=2, hidden_dim=2, max_len=3),
+    ]
+    params = m.init_params(specs, dense_dim=3, seed=17)
+    buffer = io.StringIO()
+    m.save_model(params, vocab_stub(params), buffer)
+    golden = (fixtures / "golden" / "init_model.json").read_text(encoding="utf-8")
+    assert buffer.getvalue() == golden
 
 
 def test_load_model_rejects_unknown_version():
@@ -406,12 +428,6 @@ def test_load_model_rejects_unknown_version():
     payload["version"] = "999"
     with pytest.raises(DataError):
         m.load_model(io.StringIO(json.dumps(payload)))
-
-
-def saved_payload(params):
-    buffer = io.StringIO()
-    m.save_model(params, vocab_stub(params), buffer)
-    return json.loads(buffer.getvalue())
 
 
 @pytest.mark.parametrize("name", [
@@ -460,13 +476,43 @@ def test_load_model_rejects_vocabulary_that_disagrees_with_spec(token, index):
         m.load_model(io.StringIO(json.dumps(payload)))
 
 
+def edited_model_text(edit):
+    """A saved tiny model with `edit` applied to its payload, as JSON text."""
+    params, _, _ = tiny_setup()
+    payload = saved_payload(params)
+    edit(payload)
+    return json.dumps(payload)
+
+
+def name_words_as_list(payload):
+    payload["specs"][0]["name"] = ["words"]
+
+
+def drop_every_channel(payload):
+    # the dense layer then reads a width-0 input, which has a valid shape
+    payload["specs"], payload["vocabularies"] = [], {}
+    payload["tensors"] = {name: t for name, t in payload["tensors"].items()
+                          if name.startswith(("dense.", "out."))}
+    dense_dim = payload["tensors"]["dense.W"]["shape"][1]
+    payload["tensors"]["dense.W"] = {"shape": [0, dense_dim], "data": []}
+
+
+def repeat_words_channel(payload):
+    # with equal hidden widths, dense.W keeps its width
+    payload["specs"][1] = dict(payload["specs"][0])
+
+
 @pytest.mark.parametrize("text", [
     '{"version": ',
     "[]",
     json.dumps({"version": m.MODEL_VERSION}),
     json.dumps({"version": m.MODEL_VERSION, "specs": [{"name": "words"}],
                 "tensors": {}, "vocabularies": {}}),
-], ids=["truncated", "not-an-object", "no-specs", "incomplete-spec"])
+    edited_model_text(name_words_as_list),
+    edited_model_text(drop_every_channel),
+    edited_model_text(repeat_words_channel),
+], ids=["truncated", "not-an-object", "no-specs", "incomplete-spec", "list-name",
+        "empty-specs", "repeated-channel"])
 def test_load_model_rejects_non_model_files(text):
     with pytest.raises(DataError):
         m.load_model(io.StringIO(text))

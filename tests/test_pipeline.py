@@ -10,7 +10,12 @@ from biont import pipeline
 from biont.config import load_config
 from biont.errors import ConfigError, DataError
 from biont.instances import Instance, load_instances
-from test_model import make_instance
+from test_model import (
+    drop_every_channel,
+    make_instance,
+    name_words_as_list,
+    repeat_words_channel,
+)
 
 PATH_KEYS = ("corpus_path", "lexicon", "parses", "vectors", "gaf")
 
@@ -423,6 +428,22 @@ def test_cli_model_with_swapped_tensor_shape_exits_two(fixtures, tmp_path, capsy
                    str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
     err = capsys.readouterr().err
     assert "words.fwd.R" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [name_words_as_list, drop_every_channel,
+                                  repeat_words_channel])
+def test_cli_model_with_bad_channel_list_exits_two(fixtures, tmp_path, capsys, edit):
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    model = tmp_path / "model.json"
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    edit(payload)
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(model), "--in",
+                   str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err
     assert "Traceback" not in err
 
 
