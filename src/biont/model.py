@@ -15,6 +15,7 @@ sums.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
 from array import array
@@ -38,9 +39,10 @@ OOV_INDEX = 1
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 
-MODEL_VERSION = "1"
+MODEL_VERSION = "2"
 
 _INIT_SCALE = 0.08
+_BASE64_BLOCK = 3 * 2**16  # bytes of tensor data per base64 piece
 
 
 @dataclass
@@ -602,26 +604,40 @@ def save_model(
     params: ModelParams, vocabs: dict[str, dict[str, int]], out: TextIO
 ) -> None:
     """JSON model file: {version, specs, vocabularies, tensors}; tensors are
-    {shape, data} with flat row-major data."""
-    payload = {
-        "version": MODEL_VERSION,
-        "specs": [asdict(s) for s in params.specs],
-        "vocabularies": vocabs,
-        "tensors": {
-            name: {"shape": list(tensor.shape), "data": tensor.ravel().tolist()}
-            for name, tensor in params.tensors.items()
-        },
-    }
-    json.dump(payload, out, ensure_ascii=False)
-    out.write("\n")
+    {shape, data}, data the base64 of the tensor's little-endian float64
+    bytes in row-major order.
+
+    The file is written in pieces, each tensor's data one block of bytes at
+    a time, so no tensor is ever held whole as text.  A block is a whole
+    number of 3-byte groups, so the blocks' base64 concatenates to the
+    tensor's, and the file is the `json.dumps` of the whole payload.
+    """
+    head = json.dumps(
+        {"version": MODEL_VERSION, "specs": [asdict(s) for s in params.specs],
+         "vocabularies": vocabs},
+        ensure_ascii=False,
+    )
+    out.write(head[:-1] + ', "tensors": {')
+    separator = ""
+    for name, tensor in params.tensors.items():
+        shape = json.dumps(list(tensor.shape))
+        out.write(f'{separator}{json.dumps(name)}: {{"shape": {shape}, "data": "')
+        raw = np.ascontiguousarray(tensor, dtype="<f8").reshape(-1).view(np.uint8)
+        for start in range(0, len(raw), _BASE64_BLOCK):
+            out.write(base64.b64encode(raw[start:start + _BASE64_BLOCK]).decode("ascii"))
+        out.write('"}')
+        separator = ", "
+    out.write("}}\n")
 
 
 def load_model(stream: TextIO) -> tuple[ModelParams, dict[str, dict[str, int]]]:
     """Read a model file written by `save_model`.
 
-    Every tensor must have the shape `init_params` gives it for the file's
-    specs, and every channel's vocabulary the spec's size; a file that
-    disagrees raises ShapeMismatch, one that is not a model file DataError.
+    Every tensor's data must decode to the shape `init_params` gives it for
+    the file's specs, and every channel's vocabulary must map the spec's
+    size of tokens one to one onto 0..size-1, with <pad> at 0 and <oov> at
+    1; a file that disagrees raises ShapeMismatch, one that is not a model
+    file (including a version-1 file) DataError.
     """
     try:
         payload = json.load(stream)
@@ -656,32 +672,38 @@ def load_model(stream: TextIO) -> tuple[ModelParams, dict[str, dict[str, int]]]:
         vocab = vocabs.get(spec.name)
         if not isinstance(vocab, dict) or len(vocab) != spec.vocab_size:
             raise ShapeMismatch(f"{spec.name} vocabulary does not have {spec.vocab_size} entries")
+        # with as many entries as rows, distinct in-range ints are exactly 0..size-1
         if not all(type(i) is int and 0 <= i < spec.vocab_size for i in vocab.values()):
             raise ShapeMismatch(f"{spec.name} vocabulary has an index outside its embedding")
+        if len(set(vocab.values())) != spec.vocab_size:
+            raise ShapeMismatch(f"{spec.name} vocabulary gives two tokens one index")
+        if vocab.get(PAD_TOKEN) != PAD_INDEX or vocab.get(OOV_TOKEN) != OOV_INDEX:
+            raise ShapeMismatch(
+                f"{spec.name} vocabulary does not map {PAD_TOKEN} to {PAD_INDEX} "
+                f"and {OOV_TOKEN} to {OOV_INDEX}"
+            )
 
     def read(name: str, shape: tuple[int | None, ...]) -> np.ndarray:
-        # None in `shape` accepts any size along that axis.
-        entry = tensors.get(name)
+        # None in `shape` accepts any size along that axis.  The entry is
+        # popped, so its data string is freed once decoded.
+        entry = tensors.pop(name, None)
         if entry is None:
             raise ShapeMismatch(f"model file lacks tensor {name!r}")
         try:
-            flat = np.array(entry["data"], dtype=np.float64)
-            array = flat.reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            raw = base64.b64decode(entry["data"], validate=True)
+            array = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
             raise ShapeMismatch(f"tensor {name!r}: {exc}") from exc
-        if flat.ndim != 1:
-            raise ShapeMismatch(f"tensor {name!r}: data is not a flat list")
-        if not np.isfinite(flat).all():
+        if not np.isfinite(array).all():
             raise ShapeMismatch(f"tensor {name!r} holds a non-finite value")
         if array.ndim != len(shape) or any(
             want is not None and got != want for got, want in zip(array.shape, shape)
         ):
             raise ShapeMismatch(f"tensor {name!r} has shape {array.shape}, expected {shape}")
-        return array
+        # frombuffer's view is read-only, and `train` updates tensors in place
+        return array.astype(np.float64)
 
-    dense_dim = read("dense.W", dict(tensor_shapes(specs, None))["dense.W"]).shape[1]
-    params = ModelParams(
-        specs=specs,
-        tensors={name: read(name, shape) for name, shape in tensor_shapes(specs, dense_dim)},
-    )
-    return params, vocabs
+    dense_w = read("dense.W", dict(tensor_shapes(specs, None))["dense.W"])
+    loaded = {name: dense_w if name == "dense.W" else read(name, shape)
+              for name, shape in tensor_shapes(specs, dense_w.shape[1])}
+    return ModelParams(specs=specs, tensors=loaded), vocabs

@@ -219,6 +219,8 @@ def cmd_evaluate(
 ) -> Metrics:
     """Score a model on labeled instances; writes the 4-decimal TSV report."""
     params, encoder, instances = _load_for_inference(model_path, instances_path)
+    if not instances:
+        raise DataError("no instances to evaluate")
     unlabeled = [i.instance_id for i in instances if i.label == "unlabeled"]
     if unlabeled:
         raise DataError(f"cannot evaluate unlabeled instances: {unlabeled[:3]}")

@@ -1,7 +1,9 @@
 """Vocabulary building, encoding, network forward/backward, training loop."""
+import base64
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -383,6 +385,11 @@ def vocab_stub(params):
     }
 
 
+def b64(values):
+    """Tensor data as the model file stores it: base64 of little-endian float64."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
 def saved_payload(params):
     buffer = io.StringIO()
     m.save_model(params, vocab_stub(params), buffer)
@@ -391,33 +398,73 @@ def saved_payload(params):
 
 def test_save_load_round_trip_is_bit_identical():
     params, batch, _ = tiny_setup()
+    tiny, big = np.finfo(float).tiny, np.finfo(float).max
+    params.tensors["words.fwd.b"][:7] = [-0.0, 5e-324, -tiny / 8, big, -big, tiny, -tiny]
     vocabs = vocab_stub(params)
     buffer = io.StringIO()
     m.save_model(params, vocabs, buffer)
+    # the streamed file is the plain json.dumps of its payload
+    text = buffer.getvalue()
+    assert text == json.dumps(json.loads(text), ensure_ascii=False) + "\n"
     buffer.seek(0)
     loaded, loaded_vocabs = m.load_model(buffer)
     assert loaded_vocabs == vocabs
     for (name1, t1), (name2, t2) in zip(params.tensors.items(), loaded.tensors.items()):
         assert name1 == name2
         assert t1.dtype == t2.dtype == np.float64
-        assert np.array_equal(t1, t2)
+        assert t1.shape == t2.shape and t1.tobytes() == t2.tobytes()
     assert np.array_equal(m.forward(params, batch), m.forward(loaded, batch))
 
 
+# the four-channel specs of the acceptance finite-difference test; the golden
+# file pins tensor names, order, shapes and the RNG draw order
+GOLDEN_SPECS = [
+    m.ChannelSpec("words", vocab_size=4, embed_dim=3, hidden_dim=2, max_len=4),
+    m.ChannelSpec("classes", vocab_size=4, embed_dim=2, hidden_dim=2, max_len=4),
+    m.ChannelSpec("onto_concat", vocab_size=4, embed_dim=2, hidden_dim=2, max_len=4),
+    m.ChannelSpec("onto_common", vocab_size=3, embed_dim=2, hidden_dim=2, max_len=3),
+]
+
+
 def test_init_model_file_matches_golden(fixtures):
-    # the four-channel specs of the acceptance finite-difference test; the
-    # golden file pins tensor names, order, shapes and the RNG draw order
-    specs = [
-        m.ChannelSpec("words", vocab_size=4, embed_dim=3, hidden_dim=2, max_len=4),
-        m.ChannelSpec("classes", vocab_size=4, embed_dim=2, hidden_dim=2, max_len=4),
-        m.ChannelSpec("onto_concat", vocab_size=4, embed_dim=2, hidden_dim=2, max_len=4),
-        m.ChannelSpec("onto_common", vocab_size=3, embed_dim=2, hidden_dim=2, max_len=3),
-    ]
-    params = m.init_params(specs, dense_dim=3, seed=17)
+    params = m.init_params(GOLDEN_SPECS, dense_dim=3, seed=17)
     buffer = io.StringIO()
     m.save_model(params, vocab_stub(params), buffer)
     golden = (fixtures / "golden" / "init_model.json").read_text(encoding="utf-8")
     assert buffer.getvalue() == golden
+
+
+def test_golden_init_model_loads_to_init_params(fixtures):
+    expected = m.init_params(GOLDEN_SPECS, dense_dim=3, seed=17)
+    with open(fixtures / "golden" / "init_model.json", encoding="utf-8") as handle:
+        loaded, vocabs = m.load_model(handle)
+    assert loaded.specs == GOLDEN_SPECS
+    assert vocabs == vocab_stub(expected)
+    assert list(loaded.tensors) == list(expected.tensors)
+    for name, tensor in expected.tensors.items():
+        got = loaded.tensors[name]
+        assert got.dtype == tensor.dtype and got.shape == tensor.shape, name
+        assert got.tobytes() == tensor.tobytes(), name
+
+
+def test_save_model_peak_memory_stays_below_the_embedding(tmp_path):
+    # the writer streams: no tensor is ever held whole as text or as a list
+    specs = [m.ChannelSpec("words", vocab_size=50_000, embed_dim=32, hidden_dim=2, max_len=4)]
+    params = m.init_params(specs, dense_dim=3, seed=1)
+    vocabs = vocab_stub(params)
+    embedding = params.tensors["words.embedding"]
+    with open(tmp_path / "model.json", "w", encoding="utf-8") as out:
+        tracemalloc.start()
+        try:
+            m.save_model(params, vocabs, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < embedding.nbytes
+    # the embedding spans many blocks; their base64 pieces must join up
+    with open(tmp_path / "model.json", encoding="utf-8") as handle:
+        loaded, _ = m.load_model(handle)
+    assert loaded.tensors["words.embedding"].tobytes() == embedding.tobytes()
 
 
 def test_load_model_rejects_unknown_version():
@@ -427,6 +474,17 @@ def test_load_model_rejects_unknown_version():
     payload = json.loads(buffer.getvalue())
     payload["version"] = "999"
     with pytest.raises(DataError):
+        m.load_model(io.StringIO(json.dumps(payload)))
+
+
+def test_load_model_refuses_version_one_file():
+    # version 1 stored each tensor's data as a JSON list; there is no second reader
+    params, _, _ = tiny_setup()
+    payload = saved_payload(params)
+    payload["version"] = "1"
+    for name, tensor in params.tensors.items():
+        payload["tensors"][name]["data"] = tensor.ravel().tolist()
+    with pytest.raises(DataError, match="unsupported model version '1'"):
         m.load_model(io.StringIO(json.dumps(payload)))
 
 
@@ -449,29 +507,37 @@ def test_load_model_rejects_transposed_tensor(name):
 def test_load_model_rejects_resized_bias(name, shape):
     params, _, _ = tiny_setup()
     payload = saved_payload(params)
-    payload["tensors"][name] = {"shape": shape, "data": [0.0] * shape[0]}
-    with pytest.raises(ShapeMismatch, match=name):
+    payload["tensors"][name] = {"shape": shape, "data": b64(np.zeros(shape))}
+    with pytest.raises(ShapeMismatch, match=rf"{name}' has shape \({shape[0]},\)"):
         m.load_model(io.StringIO(json.dumps(payload)))
 
 
-@pytest.mark.parametrize("data", ["[1e400, 0.0]", "[NaN, 0.0]", "[[0.1], [0.2]]"],
-                         ids=["overflow", "nan", "nested"])
-def test_load_model_rejects_bad_tensor_data(data):
-    # json reads 1e400 as inf; a nested list has the right element count
+@pytest.mark.parametrize("data, reason", [
+    (b64([math.inf, 0.0]), "non-finite"),
+    (b64([math.nan, 0.0]), "non-finite"),
+    ([[0.1], [0.2]], "not 'list'"),
+    ([0.1, 0.2], "not 'list'"),
+    (b64([0.1, 0.2])[:4] + "*" + b64([0.1, 0.2])[4:], "Only base64 data"),
+    (base64.b64encode(bytes(12)).decode("ascii"), "multiple of element size"),
+], ids=["overflow", "nan", "nested", "list", "non-alphabet", "ragged"])
+def test_load_model_rejects_bad_tensor_data(data, reason):
+    # a nested or flat list has the right element count but is not base64
     params, _, _ = tiny_setup()
     payload = saved_payload(params)
-    payload["tensors"]["out.b"]["data"] = "DATA"
-    text = json.dumps(payload).replace('"DATA"', data)
-    with pytest.raises(ShapeMismatch, match="out.b"):
-        m.load_model(io.StringIO(text))
+    payload["tensors"]["out.b"]["data"] = data
+    with pytest.raises(ShapeMismatch, match=rf"out\.b.*{reason}"):
+        m.load_model(io.StringIO(json.dumps(payload)))
 
 
-@pytest.mark.parametrize("token, index", [("extra", 3), ("w2", "x"), ("w2", 4), ("w2", -1)],
-                         ids=["extra-entry", "non-integer", "past-end", "negative"])
-def test_load_model_rejects_vocabulary_that_disagrees_with_spec(token, index):
+@pytest.mark.parametrize("entries", [
+    {"extra": 3}, {"w2": "x"}, {"w2": 4}, {"w2": -1}, {"w2": True},
+    {"w2": 0}, {"w3": 2}, {"<pad>": 2, "w2": 0}, {"<oov>": 3, "w3": 1},
+], ids=["extra-entry", "non-integer", "past-end", "negative", "boolean",
+        "token-at-pad", "repeated-index", "pad-moved", "oov-moved"])
+def test_load_model_rejects_vocabulary_that_disagrees_with_spec(entries):
     params, _, _ = tiny_setup()
     payload = saved_payload(params)
-    payload["vocabularies"]["classes"][token] = index
+    payload["vocabularies"]["classes"].update(entries)
     with pytest.raises(ShapeMismatch, match="classes vocabulary"):
         m.load_model(io.StringIO(json.dumps(payload)))
 
@@ -494,7 +560,7 @@ def drop_every_channel(payload):
     payload["tensors"] = {name: t for name, t in payload["tensors"].items()
                           if name.startswith(("dense.", "out."))}
     dense_dim = payload["tensors"]["dense.W"]["shape"][1]
-    payload["tensors"]["dense.W"] = {"shape": [0, dense_dim], "data": []}
+    payload["tensors"]["dense.W"] = {"shape": [0, dense_dim], "data": ""}
 
 
 def repeat_words_channel(payload):
@@ -531,10 +597,11 @@ def test_load_model_rejects_unknown_channel():
 
 
 def test_load_model_rejects_tampered_shape():
+    # one more float64: 8 bytes past what the shape holds
     params, _, _ = tiny_setup()
     buffer = io.StringIO()
     m.save_model(params, vocab_stub(params), buffer)
     payload = json.loads(buffer.getvalue())
-    payload["tensors"]["out.b"]["data"].append(0.0)
-    with pytest.raises(ShapeMismatch):
+    payload["tensors"]["out.b"]["data"] = b64([*params.tensors["out.b"], 0.0])
+    with pytest.raises(ShapeMismatch, match=r"out\.b.*cannot reshape array of size 3"):
         m.load_model(io.StringIO(json.dumps(payload)))

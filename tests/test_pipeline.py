@@ -11,6 +11,7 @@ from biont.config import load_config
 from biont.errors import ConfigError, DataError
 from biont.instances import Instance, load_instances
 from test_model import (
+    b64,
     drop_every_channel,
     make_instance,
     name_words_as_list,
@@ -237,7 +238,7 @@ def test_train_writes_model_and_history(fixtures, tmp_path):
     assert lines[0] == "epoch\ttrain_loss\tdev_f"
     assert len(lines) == config.train.epochs + 1
     payload = json.loads(model_path.read_text(encoding="utf-8"))
-    assert payload["version"] == "1"
+    assert payload["version"] == "2"
     assert [s["name"] for s in payload["specs"]] == [
         "words", "classes", "onto_concat", "onto_common",
     ]
@@ -447,6 +448,40 @@ def test_cli_model_with_bad_channel_list_exits_two(fixtures, tmp_path, capsys, e
     assert "Traceback" not in err
 
 
+def test_cli_model_with_token_at_pad_index_exits_two(fixtures, tmp_path, capsys):
+    # a real token at index 0 would read as padding
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    model = tmp_path / "model.json"
+    payload = json.loads(model.read_text(encoding="utf-8"))
+    words = payload["vocabularies"]["words"]
+    words[list(words)[-1]] = 0
+    model.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(model), "--in",
+                   str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "words vocabulary" in err
+    assert "Traceback" not in err
+
+
+def test_cli_evaluate_on_empty_instances_exits_two(fixtures, tmp_path, capsys):
+    # as train does; predict still writes an empty predictions file
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("", encoding="utf-8")
+    model = str(tmp_path / "model.json")
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", model, "--in", str(empty),
+                   "--out", str(tmp_path / "m.tsv")) == 2
+    err = capsys.readouterr().err
+    assert "no instances to evaluate" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.tsv").exists()
+    preds = tmp_path / "p.jsonl"
+    assert run_cli("predict", "--model", model, "--in", str(empty), "--out", str(preds)) == 0
+    assert preds.read_text(encoding="utf-8") == ""
+
+
 def test_cli_missing_model_file_exits_two(fixtures, tmp_path, capsys):
     assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
     capsys.readouterr()
@@ -524,8 +559,8 @@ def test_cli_model_with_non_finite_value_exits_two(fixtures, tmp_path, capsys):
     assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
     model = tmp_path / "model.json"
     payload = json.loads(model.read_text(encoding="utf-8"))
-    payload["tensors"]["out.b"]["data"] = "DATA"
-    model.write_text(json.dumps(payload).replace('"DATA"', "[1e400, 0.0]"), encoding="utf-8")
+    payload["tensors"]["out.b"]["data"] = b64([math.inf, 0.0])
+    model.write_text(json.dumps(payload), encoding="utf-8")
     capsys.readouterr()
     assert run_cli("predict", "--model", str(model), "--in",
                    str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
