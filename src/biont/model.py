@@ -242,12 +242,14 @@ def load_word_vectors(
 
     Returns the word of each vector line, in file order, and the
     (lines, embed_dim) matrix of their vectors.  The first non-blank line
-    may be a "count dim" header; its dim must match.
+    may be a "count dim" header; its dim must match.  A component that is
+    not a finite number raises MalformedVectorLine.
     """
     words: list[str] = []
     # one flat buffer: small per-line arrays, freed late, fragment the heap
     # and raised the peak memory of the training that follows
     values = array("d")
+    linenos = array("q")  # file line of each vector, to name a non-finite one
     first = True
     for lineno, raw in enumerate(stream, start=1):
         parts = raw.split()
@@ -276,7 +278,15 @@ def load_word_vectors(
             )
         words.append(parts[0])
         values.extend(vector)
-    return words, np.frombuffer(values).reshape(len(words), embed_dim)
+        linenos.append(lineno)
+    matrix = np.frombuffer(values).reshape(len(words), embed_dim)
+    # float() takes nan, inf and overflowing literals such as 1e400
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise MalformedVectorLine(
+            f"line {linenos[int(np.argmin(finite))]}: non-finite component"
+        )
+    return words, matrix
 
 
 def pretrained_embedding(
@@ -473,12 +483,15 @@ def gradients(
     labels: np.ndarray,
     class_weight_positive: float = 1.0,
     dropout_mask: np.ndarray | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+) -> tuple[float, dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]]]:
     """Analytic gradients of the weighted cross-entropy for one batch.
 
     Returns (loss value, tensor-name -> gradient) with the names of
-    ModelParams.tensors.  Pass no dropout mask when checking against
-    finite differences.
+    ModelParams.tensors.  Each `<channel>.embedding` gradient is row-sparse:
+    a pair (rows, row_grads) of the sorted distinct ids the batch uses and
+    the (len(rows), embed_dim) gradient of those rows; every other row's
+    gradient is zero.  The other tensors' gradients are dense.  Pass no
+    dropout mask when checking against finite differences.
     """
     probs, cache = _forward_cache(params, batch, dropout_mask)
     loss_value = loss(probs, labels, class_weight_positive)
@@ -513,10 +526,31 @@ def gradients(
             prefix = f"{name}.{direction}"
             grads[f"{prefix}.W"], grads[f"{prefix}.R"], grads[f"{prefix}.b"] = dW, dR, db
         d_x = dX["fwd"] + dX["bwd"][:, ::-1, :]
-        d_emb = np.zeros_like(p[f"{name}.embedding"])
-        np.add.at(d_emb, ch_cache["ids"].ravel(), d_x.reshape(-1, d_x.shape[-1]))
-        grads[f"{name}.embedding"] = d_emb
+        rows, inverse = np.unique(ch_cache["ids"].ravel(), return_inverse=True)
+        row_grads = np.zeros((len(rows), spec.embed_dim))
+        # add.at sums each row's terms in the batch's ravel order, the order
+        # of a scatter into the whole table; a sorted segment sum would
+        # reorder them and move the trained weights in their last bits
+        np.add.at(row_grads, inverse, d_x.reshape(-1, spec.embed_dim))
+        grads[f"{name}.embedding"] = (rows, row_grads)
     return loss_value, grads
+
+
+def sgd_step(
+    params: ModelParams,
+    grads: dict[str, np.ndarray | tuple[np.ndarray, np.ndarray]],
+    learning_rate: float,
+) -> None:
+    """One in-place SGD update from `gradients` output.  An embedding's
+    update writes only the rows its batch used, then re-zeroes <pad>."""
+    embeddings = {f"{spec.name}.embedding" for spec in params.specs}
+    for name, tensor in params.tensors.items():
+        if name in embeddings:
+            rows, row_grads = grads[name]
+            tensor[rows] -= learning_rate * row_grads
+            tensor[PAD_INDEX] = 0.0
+        else:
+            tensor -= learning_rate * grads[name]
 
 
 # --- training and prediction ----------------------------------------------------
@@ -566,10 +600,7 @@ def train(
             if not np.isfinite(batch_loss):
                 raise NonFiniteLoss(epoch)
             batch_losses.append(batch_loss)
-            for name, tensor in params.tensors.items():
-                tensor -= config.learning_rate * grads[name]
-            for spec in params.specs:
-                params.tensors[f"{spec.name}.embedding"][PAD_INDEX] = 0.0
+            sgd_step(params, grads, config.learning_rate)
         train_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
         if len(dev_data):
             probs = forward(params, dev_data.ids)

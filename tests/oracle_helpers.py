@@ -136,6 +136,19 @@ def finite_difference_gradients(loss_fn, tensor: np.ndarray, eps: float = 1e-5
     return grad
 
 
+def dense_gradients(params, grads: dict) -> dict[str, np.ndarray]:
+    """`model.gradients` output with each channel's row-sparse embedding
+    gradient (rows, row_grads) scattered into a zero tensor of the
+    embedding's shape; the other gradients are passed through."""
+    dense = dict(grads)
+    for spec in params.specs:
+        name = f"{spec.name}.embedding"
+        rows, row_grads = grads[name]
+        dense[name] = np.zeros_like(params.tensors[name])
+        dense[name][rows] = row_grads
+    return dense
+
+
 def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
                        floor: float = 1e-6) -> float:
     """max |a-n| / max(|a|, |n|) over elements large enough to compare.

@@ -1,5 +1,6 @@
 """Vocabulary building, encoding, network forward/backward, training loop."""
 import base64
+import dataclasses
 import io
 import json
 import math
@@ -17,7 +18,11 @@ from biont.errors import (
     ShapeMismatch,
 )
 from biont.instances import Instance
-from oracle_helpers import finite_difference_gradients, max_relative_error
+from oracle_helpers import (
+    dense_gradients,
+    finite_difference_gradients,
+    max_relative_error,
+)
 
 
 def make_instance(iid="i0", sdp=None, classes=None, left=None, right=None,
@@ -174,6 +179,13 @@ def test_load_word_vectors_non_numeric_raises():
         m.load_word_vectors(io.StringIO("binds a b c\n"), embed_dim=3)
 
 
+@pytest.mark.parametrize("component", ["nan", "inf", "-inf", "1e400"])
+def test_load_word_vectors_non_finite_raises(component):
+    stream = io.StringIO(f"2 3\n\nbinds 1.0 2.0 3.0\nother 1.0 {component} 3.0\n")
+    with pytest.raises(MalformedVectorLine, match="^line 4: non-finite component$"):
+        m.load_word_vectors(stream, embed_dim=3)
+
+
 # --- initialization -----------------------------------------------------------------
 
 
@@ -258,6 +270,7 @@ def test_gradients_match_finite_differences_quick():
     params, batch, labels = tiny_setup()
     loss_value, grads = m.gradients(params, batch, labels, 2.0)
     assert math.isfinite(loss_value)
+    grads = dense_gradients(params, grads)
 
     def loss_fn():
         probs = m.forward(params, batch)
@@ -273,8 +286,95 @@ def test_gradient_names_cover_all_tensors():
     params, batch, labels = tiny_setup()
     _, grads = m.gradients(params, batch, labels)
     assert set(grads) == {name for name, _ in params.tensors.items()}
+    grads = dense_gradients(params, grads)
     for name, tensor in params.tensors.items():
         assert grads[name].shape == tensor.shape
+
+
+def test_embedding_gradients_are_row_sparse():
+    params, batch, labels = tiny_setup()
+    _, grads = m.gradients(params, batch, labels)
+    for spec in params.specs:
+        rows, row_grads = grads[f"{spec.name}.embedding"]
+        assert np.array_equal(rows, np.unique(batch[spec.name]))
+        assert row_grads.shape == (len(rows), spec.embed_dim)
+
+
+def occurrence_embedding_gradients(params, batch, labels, weight):
+    """Each channel's embedding gradient of every batch position, in ravel
+    order: the gradient of a copy of the model whose table gives every real
+    position its own row, with padding kept at row 0."""
+    specs, tensors, spread = [], dict(params.tensors), {}
+    for spec in params.specs:
+        ids = batch[spec.name].ravel()
+        real = ids != m.PAD_INDEX
+        own = np.where(real, np.arange(1, ids.size + 1), m.PAD_INDEX)
+        table = np.zeros((ids.size + 1, spec.embed_dim))
+        table[own[real]] = params.tensors[f"{spec.name}.embedding"][ids[real]]
+        tensors[f"{spec.name}.embedding"] = table
+        specs.append(dataclasses.replace(spec, vocab_size=ids.size + 1))
+        spread[spec.name] = own.reshape(batch[spec.name].shape)
+    _, grads = m.gradients(m.ModelParams(specs, tensors), spread, labels, weight)
+    out = {}
+    for spec in params.specs:
+        rows, row_grads = grads[f"{spec.name}.embedding"]
+        own = spread[spec.name].ravel()
+        out[spec.name] = row_grads[np.searchsorted(rows, own)], own != m.PAD_INDEX
+    return out
+
+
+def test_sgd_step_equals_dense_update_bit_for_bit():
+    specs = [m.ChannelSpec("words", vocab_size=10, embed_dim=3, hidden_dim=2, max_len=5),
+             m.ChannelSpec("classes", vocab_size=4, embed_dim=2, hidden_dim=2, max_len=5)]
+    params = m.init_params(specs, dense_dim=3, seed=11)
+    words = params.tensors["words.embedding"]
+    words[4, 1] = words[7] = -0.0  # rows the batch does not use
+    batch = {  # word 2 three times, twice in one row; padding in every row
+        "words": np.array([[2, 3, 2, 5, 0], [5, 2, 8, 0, 0]], dtype=np.int64),
+        "classes": np.array([[2, 1, 0, 0, 0], [3, 3, 2, 0, 0]], dtype=np.int64),
+    }
+    labels = np.array([1, 0], dtype=np.int64)
+    lr = 0.3
+    _, grads = m.gradients(params, batch, labels, 2.0)
+    occurrences = occurrence_embedding_gradients(params, batch, labels, 2.0)
+
+    sparse, dense = params.copy(), params.copy()
+    m.sgd_step(sparse, grads, lr)
+    for name, tensor in dense.tensors.items():
+        if name.endswith(".embedding"):
+            channel = name.split(".")[0]
+            d_x, real = occurrences[channel]
+            full = np.zeros_like(tensor)
+            np.add.at(full, batch[channel].ravel()[real], d_x[real])
+            rows, row_grads = grads[name]
+            assert full[rows[rows != m.PAD_INDEX]].tobytes() == (
+                row_grads[rows != m.PAD_INDEX].tobytes()), name
+            tensor -= lr * full
+            tensor[m.PAD_INDEX] = 0.0
+        else:
+            tensor -= lr * grads[name]
+    for name, tensor in dense.tensors.items():
+        assert sparse.tensors[name].tobytes() == tensor.tobytes(), name
+    assert np.signbit(sparse.tensors["words.embedding"][7]).all()
+
+
+def test_training_step_memory_is_flat_in_the_vocabulary():
+    # a 200,000-word table: a step must not allocate anything table-sized
+    spec = m.ChannelSpec("words", vocab_size=200_000, embed_dim=32, hidden_dim=4, max_len=15)
+    params = m.init_params([spec], dense_dim=3, seed=1)
+    rng = np.random.default_rng(3)
+    batch = {"words": rng.integers(0, 200_000, size=(16, 15))}
+    batch["words"][:, 12:] = m.PAD_INDEX
+    labels = rng.integers(0, 2, size=16)
+    table_bytes = params.tensors["words.embedding"].nbytes
+    tracemalloc.start()
+    try:
+        _, grads = m.gradients(params, batch, labels)
+        m.sgd_step(params, grads, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table_bytes / 4
 
 
 # --- training ---------------------------------------------------------------------------
@@ -333,6 +433,24 @@ def test_train_padding_embedding_row_stays_zero():
     best, _ = m.train(params, data, data, config)
     for spec in best.specs:
         assert np.all(best.tensors[f"{spec.name}.embedding"][m.PAD_INDEX] == 0.0)
+
+
+def test_train_leaves_unused_embedding_rows_untouched():
+    params, batch, labels = tiny_setup(with_second_channel=False)
+    words = params.tensors["words.embedding"]
+    words[1, 0] = -0.0  # <oov>, which no row of the batch holds
+    initial = params.copy()
+    data = dataset_from(batch, labels)
+    config = m.TrainConfig(learning_rate=0.5, epochs=3, batch_size=1,
+                           dropout_keep=0.8, seed=4)
+    best, history = m.train(params, data, data, config)
+    assert len(history) == 3
+    for spec in best.specs:
+        name = f"{spec.name}.embedding"
+        unused = np.setdiff1d(np.arange(spec.vocab_size), batch[spec.name])
+        assert unused.tolist() == [m.OOV_INDEX]
+        assert best.tensors[name][unused].tobytes() == initial.tensors[name][unused].tobytes()
+        assert not np.array_equal(best.tensors[name], initial.tensors[name])
 
 
 def test_train_rejects_unlabeled_instances():

@@ -569,6 +569,25 @@ def test_cli_model_with_non_finite_value_exits_two(fixtures, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cli_train_with_non_finite_vector_component_exits_two(fixtures, tmp_path, capsys):
+    # float() reads nan and inf; such a model would be refused by predict
+    vectors = tmp_path / "vectors.txt"
+    text = (fixtures / "vectors.txt").read_text(encoding="utf-8")
+    vectors.write_text(text + "zzzunused nan 0.1 0.1 0.1 0.1 inf\n", encoding="utf-8")
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json",
+                                mutate={"vectors": str(vectors)})
+    instances = tmp_path / "instances.jsonl"
+    model = tmp_path / "model.json"
+    assert run_cli("preprocess", "--config", str(config), "--out", str(instances)) == 0
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(config), "--in", str(instances),
+                   "--model", str(model)) == 2
+    err = capsys.readouterr().err
+    assert "line 4: non-finite component" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 def test_cli_two_runs_are_byte_identical(fixtures, tmp_path):
     first = tmp_path / "a"
     second = tmp_path / "b"
