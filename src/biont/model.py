@@ -20,7 +20,7 @@ import copy
 import json
 from array import array
 from dataclasses import asdict, dataclass
-from typing import Iterable, TextIO
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 import numpy as np
 
@@ -110,39 +110,76 @@ def tensor_shapes(
     ]
 
 
-# --- vocabularies and encoding ----------------------------------------------
+# --- the channel registry, vocabularies and encoding ------------------------
 
 
-def channel_sequence(instance: Instance, channel: str) -> list[str]:
-    """The raw token sequence an instance contributes to a channel."""
-    if channel == "words":
-        return list(instance.sdp_tokens)
-    if channel == "classes":
-        return list(instance.sdp_classes)
-    if channel == "onto_concat":
-        return list(instance.left_chain) + list(instance.right_chain)
-    if channel == "onto_common":
-        return list(instance.common_chain or [])
-    raise ValueError(f"unknown channel {channel!r}")
+class Channel(NamedTuple):
+    """An input channel: the ModelDims field that sizes its embedding, its
+    length from the train settings, and its token rule.  The rule cuts an
+    instance's sequence to at most `limit` tokens; None leaves it uncut."""
+    embed_dim_field: str
+    max_len: Callable[[TrainConfig], int]
+    tokens: Callable[[Instance, int | None], list[str]]
+
+
+def _sdp_rule(field: str) -> Callable[[Instance, int | None], list[str]]:
+    def tokens(instance: Instance, limit: int | None) -> list[str]:
+        # keep both endpoints, drop middle tokens
+        seq = list(getattr(instance, field))
+        if limit is None or len(seq) <= limit:
+            return seq
+        return seq[:limit - limit // 2] + seq[len(seq) - limit // 2:]
+    return tokens
+
+
+def _concat_tokens(instance: Instance, limit: int | None) -> list[str]:
+    # both chains side by side, each cut to half the limit at its specific end
+    side = None if limit is None else limit // 2
+    return instance.left_chain[:side] + instance.right_chain[:side]
+
+
+def _common_tokens(instance: Instance, limit: int | None) -> list[str]:
+    # keep the specific end, drop root-side elements
+    return (instance.common_chain or [])[:limit]
+
+
+# Every channel, in model order.
+CHANNELS = {
+    "words": Channel("embed_dim_words", lambda t: t.max_sdp_len, _sdp_rule("sdp_tokens")),
+    "classes": Channel("embed_dim_classes", lambda t: t.max_sdp_len, _sdp_rule("sdp_classes")),
+    "onto_concat": Channel("embed_dim_onto", lambda t: 2 * t.max_chain_len, _concat_tokens),
+    "onto_common": Channel("embed_dim_onto", lambda t: t.max_chain_len, _common_tokens),
+}
+
+
+def channel_specs(channels: Iterable[str], vocabs: dict[str, dict[str, int]],
+                  dims: ModelDims, train: TrainConfig) -> list[ChannelSpec]:
+    """The spec of each of `channels`, in the order given."""
+    return [
+        ChannelSpec(name, len(vocabs[name]), getattr(dims, CHANNELS[name].embed_dim_field),
+                    dims.hidden_dim, CHANNELS[name].max_len(train))
+        for name in channels
+    ]
 
 
 def build_vocabularies(
     instances: Iterable[Instance],
+    channels: Iterable[str],
     extra_words: Iterable[str] | None = None,
 ) -> dict[str, dict[str, int]]:
-    """token -> index per channel; 0 pad, 1 oov, then first-occurrence order.
+    """token -> index for each of `channels`, from the uncut sequences; 0 pad,
+    1 oov, then first-occurrence order.
 
     `extra_words` (e.g. the words of `load_word_vectors`) extends the words
     channel after the corpus tokens.
     """
-    vocabs: dict[str, dict[str, int]] = {
-        name: {PAD_TOKEN: PAD_INDEX, OOV_TOKEN: OOV_INDEX} for name in CHANNELS
-    }
     materialized = list(instances)
-    for name in CHANNELS:
-        vocab = vocabs[name]
+    vocabs: dict[str, dict[str, int]] = {}
+    for name in channels:
+        rule = CHANNELS[name].tokens
+        vocab = vocabs[name] = {PAD_TOKEN: PAD_INDEX, OOV_TOKEN: OOV_INDEX}
         for instance in materialized:
-            for token in channel_sequence(instance, name):
+            for token in rule(instance, None):
                 if token not in vocab:
                     vocab[token] = len(vocab)
     if extra_words:
@@ -151,20 +188,6 @@ def build_vocabularies(
             if word not in vocab:
                 vocab[word] = len(vocab)
     return vocabs
-
-
-def _truncate_sdp(seq: list[str], max_len: int) -> list[str]:
-    # keep both endpoints, drop middle tokens
-    if len(seq) <= max_len:
-        return seq
-    head = (max_len + 1) // 2
-    tail = max_len - head
-    return seq[:head] + (seq[len(seq) - tail:] if tail else [])
-
-
-def _truncate_chain(chain: list[str], max_len: int) -> list[str]:
-    # keep the specific end, drop root-side elements
-    return chain[:max_len]
 
 
 @dataclass
@@ -186,16 +209,6 @@ class EncodedDataset:
 
 LABEL_TO_INT = {"positive": 1, "negative": 0, "unlabeled": -1}
 
-# Every channel, in model order: the ModelDims field that sizes its
-# embedding, and its sequence length from the train settings.
-CHANNELS = {
-    "words": ("embed_dim_words", lambda train: train.max_sdp_len),
-    "classes": ("embed_dim_classes", lambda train: train.max_sdp_len),
-    # both chains side by side; _tokens below gives each max_len // 2
-    "onto_concat": ("embed_dim_onto", lambda train: 2 * train.max_chain_len),
-    "onto_common": ("embed_dim_onto", lambda train: train.max_chain_len),
-}
-
 
 class Encoder:
     """Maps instances to fixed-shape index matrices per channel."""
@@ -204,25 +217,15 @@ class Encoder:
         self.specs = specs
         self.vocabs = vocabs
 
-    def _tokens(self, instance: Instance, spec: ChannelSpec) -> list[str]:
-        if spec.name in ("words", "classes"):
-            return _truncate_sdp(channel_sequence(instance, spec.name), spec.max_len)
-        if spec.name == "onto_concat":
-            side = spec.max_len // 2
-            return _truncate_chain(list(instance.left_chain), side) + _truncate_chain(
-                list(instance.right_chain), side
-            )
-        return _truncate_chain(channel_sequence(instance, spec.name), spec.max_len)
-
     def encode(self, instances: list[Instance]) -> EncodedDataset:
         n = len(instances)
         ids: dict[str, np.ndarray] = {}
         for spec in self.specs:
             vocab = self.vocabs[spec.name]
+            rule = CHANNELS[spec.name].tokens
             matrix = np.full((n, spec.max_len), PAD_INDEX, dtype=np.int64)
             for row, instance in enumerate(instances):
-                tokens = self._tokens(instance, spec)
-                for col, token in enumerate(tokens[: spec.max_len]):
+                for col, token in enumerate(rule(instance, spec.max_len)):
                     matrix[row, col] = vocab.get(token, OOV_INDEX)
             ids[spec.name] = matrix
         labels = np.array(
@@ -242,8 +245,9 @@ def load_word_vectors(
 
     Returns the word of each vector line, in file order, and the
     (lines, embed_dim) matrix of their vectors.  The first non-blank line
-    may be a "count dim" header; its dim must match.  A component that is
-    not a finite number raises MalformedVectorLine.
+    may be a "count dim" header; its dim must match, and its count must be
+    the number of vector lines.  A component that is not a finite number
+    raises MalformedVectorLine, and so does a wrong count.
     """
     words: list[str] = []
     # one flat buffer: small per-line arrays, freed late, fragment the heap
@@ -251,6 +255,7 @@ def load_word_vectors(
     values = array("d")
     linenos = array("q")  # file line of each vector, to name a non-finite one
     first = True
+    count = None
     for lineno, raw in enumerate(stream, start=1):
         parts = raw.split()
         if not parts:
@@ -259,7 +264,7 @@ def load_word_vectors(
             first = False
             if len(parts) == 2:
                 try:
-                    _count, dim = int(parts[0]), int(parts[1])
+                    count, dim = int(parts[0]), int(parts[1])
                 except ValueError:
                     dim = None
                 if dim is not None:
@@ -286,6 +291,8 @@ def load_word_vectors(
         raise MalformedVectorLine(
             f"line {linenos[int(np.argmin(finite))]}: non-finite component"
         )
+    if count is not None and count != len(words):
+        raise MalformedVectorLine(f"header count {count} vs {len(words)} vector lines")
     return words, matrix
 
 

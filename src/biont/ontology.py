@@ -18,6 +18,7 @@ from .errors import (
     CrossOntologyPair,
     CycleDetected,
     DanglingParent,
+    DataError,
     DuplicateId,
     MalformedLine,
     MalformedStanza,
@@ -188,10 +189,14 @@ def parse_obo(stream: Iterable[str] | TextIO, namespace: str = "custom") -> Onto
                     query_parent_map[node] = ps
                     depth_map[node] = 1 + max(depth_map[p] for p in ps) if ps else 0
 
+    # An acyclic query DAG has a root exactly when it has a concept.
+    roots = {cid for cid, ps in query_parent_map.items() if not ps}
+    if not roots:
+        raise DataError(f"{namespace} ontology has no non-obsolete term")
     return OntologyGraph(
         namespace=namespace,
         concepts=concepts,
-        roots={cid for cid, ps in query_parent_map.items() if not ps},
+        roots=roots,
         depth_map=depth_map,
         alt_to_primary=alt_to_primary,
         query_parent_map=query_parent_map,

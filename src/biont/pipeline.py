@@ -22,7 +22,7 @@ from .config import RunConfig
 from .errors import DataError
 from .instances import EntityResolver, Instance
 from .metrics import Metrics, Prediction, compute_metrics, format_report
-from .model import ChannelSpec, Encoder, ModelParams
+from .model import Encoder, ModelParams
 
 # Always reported, even at zero, so report shapes are stable.
 CANONICAL_SKIP_REASONS = ("disconnected", "unmappable_entity")
@@ -139,20 +139,6 @@ def cmd_preprocess(
     return instances, diagnostics
 
 
-def _build_specs(config: RunConfig, vocabs: dict[str, dict[str, int]]) -> list[ChannelSpec]:
-    return [
-        ChannelSpec(
-            name=name,
-            vocab_size=len(vocabs[name]),
-            embed_dim=getattr(config.model, dim_field),
-            hidden_dim=config.model.hidden_dim,
-            max_len=max_len(config.train),
-        )
-        for name, (dim_field, max_len) in model_mod.CHANNELS.items()
-        if name in vocabs
-    ]
-
-
 def cmd_train(
     config: RunConfig,
     instances_path: str | Path,
@@ -176,9 +162,8 @@ def cmd_train(
     if config.vectors and "words" in channels:
         with open(config.vectors, encoding="utf-8") as handle:
             words, vectors = model_mod.load_word_vectors(handle, config.model.embed_dim_words)
-    vocabs = model_mod.build_vocabularies(instances, words)
-    vocabs = {name: vocabs[name] for name in channels}
-    specs = _build_specs(config, vocabs)
+    vocabs = model_mod.build_vocabularies(instances, channels, words)
+    specs = model_mod.channel_specs(channels, vocabs, config.model, config.train)
     params = model_mod.init_params(specs, config.model.dense_dim, config.train.seed)
     if vectors is not None:
         params.tensors["words.embedding"] = model_mod.pretrained_embedding(

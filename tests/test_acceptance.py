@@ -156,7 +156,7 @@ def separable_instances():
 def test_training_reaches_perfect_f_on_separable_instances():
     start = time.perf_counter()
     instances = separable_instances()
-    vocabs = m.build_vocabularies(instances)
+    vocabs = m.build_vocabularies(instances, m.CHANNELS)
     specs = [m.ChannelSpec("words", len(vocabs["words"]), embed_dim=8,
                            hidden_dim=6, max_len=6)]
     data = m.Encoder(specs, {"words": vocabs["words"]}).encode(instances)

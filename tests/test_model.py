@@ -58,7 +58,7 @@ def tiny_setup(with_second_channel=True, hidden=2, seed=5):
 
 
 def test_build_vocabularies_reserves_pad_and_oov():
-    vocabs = m.build_vocabularies([make_instance()])
+    vocabs = m.build_vocabularies([make_instance()], m.CHANNELS)
     for name in m.CHANNELS:
         assert vocabs[name][m.PAD_TOKEN] == 0
         assert vocabs[name][m.OOV_TOKEN] == 1
@@ -69,7 +69,7 @@ def test_build_vocabularies_first_occurrence_order():
         make_instance(sdp=["candidate1", "binds", "candidate2"]),
         make_instance(sdp=["candidate2", "blocks", "candidate1"]),
     ]
-    vocab = m.build_vocabularies(instances)["words"]
+    vocab = m.build_vocabularies(instances, m.CHANNELS)["words"]
     assert vocab["candidate1"] == 2
     assert vocab["binds"] == 3
     assert vocab["candidate2"] == 4
@@ -77,23 +77,67 @@ def test_build_vocabularies_first_occurrence_order():
 
 
 def test_build_vocabularies_extra_words_appended():
-    vocab = m.build_vocabularies([make_instance()], ["zeta", "binds"])["words"]
+    vocab = m.build_vocabularies([make_instance()], m.CHANNELS, ["zeta", "binds"])["words"]
     assert vocab["zeta"] == max(vocab.values())
     assert list(vocab).count("binds") == 1
 
 
-def test_channel_sequences():
+def test_build_vocabularies_builds_only_the_channels_given():
     instance = make_instance(common=["X:1"])
-    assert m.channel_sequence(instance, "words") == instance.sdp_tokens
-    assert m.channel_sequence(instance, "classes") == instance.sdp_classes
-    assert m.channel_sequence(instance, "onto_concat") == ["X:2", "X:1", "X:3", "X:1"]
-    assert m.channel_sequence(instance, "onto_common") == ["X:1"]
-    assert m.channel_sequence(make_instance(common=None), "onto_common") == []
+    for channels in (["words"], ["classes", "onto_common"], list(m.CHANNELS)):
+        vocabs = m.build_vocabularies([instance], channels)
+        assert list(vocabs) == channels
+        for name in channels:
+            tokens = m.CHANNELS[name].tokens(instance, None)
+            assert list(vocabs[name])[2:] == list(dict.fromkeys(tokens))
+
+
+SDP = ["candidate1", "a", "b", "c", "candidate2"]
+CHAINS = dict(left=["L:3", "L:2", "L:1"], right=["R:3", "R:2", "R:1"])
+
+
+@pytest.mark.parametrize("name, instance, limit, expected", [
+    ("words", make_instance(sdp=SDP), None, SDP),
+    ("words", make_instance(sdp=SDP), 5, SDP),
+    # an SDP cut keeps both endpoints and drops middle tokens
+    ("words", make_instance(sdp=SDP), 4, ["candidate1", "a", "c", "candidate2"]),
+    ("words", make_instance(sdp=SDP), 3, ["candidate1", "a", "candidate2"]),
+    ("words", make_instance(sdp=SDP), 2, ["candidate1", "candidate2"]),
+    ("classes", make_instance(classes=["O", "v", "n", "O"]), None, ["O", "v", "n", "O"]),
+    ("classes", make_instance(classes=["O", "v", "n", "O"]), 3, ["O", "v", "O"]),
+    ("onto_concat", make_instance(**CHAINS), None,
+     ["L:3", "L:2", "L:1", "R:3", "R:2", "R:1"]),
+    # each side keeps max_len // 2 elements at its specific end
+    ("onto_concat", make_instance(**CHAINS), 4, ["L:3", "L:2", "R:3", "R:2"]),
+    ("onto_concat", make_instance(**CHAINS), 5, ["L:3", "L:2", "R:3", "R:2"]),
+    ("onto_concat", make_instance(**CHAINS), 3, ["L:3", "R:3"]),
+    ("onto_common", make_instance(common=["X:9", "X:5", "X:1"]), None, ["X:9", "X:5", "X:1"]),
+    ("onto_common", make_instance(common=["X:9", "X:5", "X:1"]), 2, ["X:9", "X:5"]),
+    ("onto_common", make_instance(common=None), None, []),
+    ("onto_common", make_instance(common=None), 3, []),
+])
+def test_channel_token_rules(name, instance, limit, expected):
+    assert m.CHANNELS[name].tokens(instance, limit) == expected
+
+
+def test_channel_specs_size_each_channel_from_the_registry():
+    vocabs = m.build_vocabularies([make_instance(common=["X:1"])], m.CHANNELS)
+    dims = m.ModelDims(embed_dim_words=7, embed_dim_classes=5, embed_dim_onto=3,
+                       hidden_dim=4, dense_dim=2)
+    train = m.TrainConfig(max_sdp_len=9, max_chain_len=6)
+    specs = m.channel_specs(["words", "onto_concat", "onto_common"], vocabs, dims, train)
+    assert specs == [
+        m.ChannelSpec("words", len(vocabs["words"]), 7, 4, max_len=9),
+        m.ChannelSpec("onto_concat", len(vocabs["onto_concat"]), 3, 4, max_len=12),
+        m.ChannelSpec("onto_common", len(vocabs["onto_common"]), 3, 4, max_len=6),
+    ]
+    [classes] = m.channel_specs(["classes"], vocabs, dims, train)
+    assert (classes.embed_dim, classes.max_len) == (5, 9)
 
 
 def test_encoder_pads_and_marks_oov():
     instance = make_instance()
-    vocabs = m.build_vocabularies([instance])
+    vocabs = m.build_vocabularies([instance], m.CHANNELS)
     spec = m.ChannelSpec("words", len(vocabs["words"]), 3, 2, max_len=5)
     encoded = m.Encoder([spec], vocabs).encode(
         [instance, make_instance(iid="i1", sdp=["novel", "binds"])]
@@ -108,7 +152,7 @@ def test_encoder_pads_and_marks_oov():
 def test_encoder_truncates_sdp_keeping_endpoints():
     sdp = ["candidate1", "a", "b", "c", "candidate2"]
     instance = make_instance(sdp=sdp, classes=["O"] * 5)
-    vocabs = m.build_vocabularies([instance])
+    vocabs = m.build_vocabularies([instance], m.CHANNELS)
     spec = m.ChannelSpec("words", len(vocabs["words"]), 3, 2, max_len=4)
     encoded = m.Encoder([spec], vocabs).encode([instance])
     vocab = vocabs["words"]
@@ -119,7 +163,7 @@ def test_encoder_truncates_sdp_keeping_endpoints():
 
 def test_encoder_truncates_chains_keeping_specific_end():
     instance = make_instance(common=["X:9", "X:5", "X:1"])
-    vocabs = m.build_vocabularies([instance])
+    vocabs = m.build_vocabularies([instance], m.CHANNELS)
     spec = m.ChannelSpec("onto_common", len(vocabs["onto_common"]), 3, 2, max_len=2)
     encoded = m.Encoder([spec], vocabs).encode([instance])
     vocab = vocabs["onto_common"]
@@ -130,7 +174,7 @@ def test_encoder_concat_channel_truncates_per_side():
     instance = make_instance(
         left=["L:3", "L:2", "L:1"], right=["R:3", "R:2", "R:1"]
     )
-    vocabs = m.build_vocabularies([instance])
+    vocabs = m.build_vocabularies([instance], m.CHANNELS)
     spec = m.ChannelSpec("onto_concat", len(vocabs["onto_concat"]), 3, 2, max_len=4)
     encoded = m.Encoder([spec], vocabs).encode([instance])
     vocab = vocabs["onto_concat"]
@@ -157,7 +201,7 @@ def test_load_word_vectors_copies_known_rows():
 
 def test_word_vectors_duplicate_word_keeps_first_position_and_last_vector():
     words, vectors = m.load_word_vectors(io.StringIO("a 1 1\nb 2 2\na 3 3\n"), embed_dim=2)
-    vocab = m.build_vocabularies([], words)["words"]
+    vocab = m.build_vocabularies([], m.CHANNELS, words)["words"]
     assert list(vocab) == ["<pad>", "<oov>", "a", "b"]
     matrix = m.pretrained_embedding(words, vectors, vocab, seed=1)
     assert matrix[vocab["a"]].tolist() == [3.0, 3.0]
@@ -184,6 +228,16 @@ def test_load_word_vectors_non_finite_raises(component):
     stream = io.StringIO(f"2 3\n\nbinds 1.0 2.0 3.0\nother 1.0 {component} 3.0\n")
     with pytest.raises(MalformedVectorLine, match="^line 4: non-finite component$"):
         m.load_word_vectors(stream, embed_dim=3)
+
+
+@pytest.mark.parametrize("text, lines", [
+    ("5 6\nbinds 1 2 3 4 5 6\n", 1),  # header counts more lines than there are
+    ("2 6\na 1 2 3 4 5 6\nb 1 2 3 4 5 6\nc 1 2 3 4 5 6\n", 3),  # and fewer
+], ids=["count_over_lines", "count_under_lines"])
+def test_load_word_vectors_header_count_mismatch_raises(text, lines):
+    count = text.split()[0]
+    with pytest.raises(MalformedVectorLine, match=f"^header count {count} vs {lines} vector lines$"):
+        m.load_word_vectors(io.StringIO(text), embed_dim=6)
 
 
 # --- initialization -----------------------------------------------------------------

@@ -9,6 +9,7 @@ from biont.errors import (
     CrossOntologyPair,
     CycleDetected,
     DanglingParent,
+    DataError,
     DuplicateId,
     MalformedLine,
     MalformedStanza,
@@ -48,6 +49,17 @@ def test_parse_obo_ignores_non_term_stanzas():
         "[Typedef]\nid: part_of\n\n[Term]\nid: A:1\nname: only\n"
     )
     assert list(graph.concepts) == ["A:1"]
+
+
+@pytest.mark.parametrize("text", [
+    "format-version: 1.2\n",
+    "format-version: 1.2\n\n[Typedef]\nid: part_of\n",
+    "[Term]\nid: A:1\nis_obsolete: true\n\n[Term]\nid: A:2\nis_a: A:1\nis_obsolete: true\n",
+], ids=["header_only", "no_term_stanza", "all_obsolete"])
+def test_parse_obo_without_a_live_term_raises(text):
+    # such a graph has no root for a gene to fall back to
+    with pytest.raises(DataError, match="^go ontology has no non-obsolete term$"):
+        parse(text, namespace="go")
 
 
 def test_alt_id_resolves_to_primary(chebi):

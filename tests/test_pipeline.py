@@ -410,6 +410,43 @@ def test_cli_unalignable_token_exits_two(fixtures, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("obo", [
+    "format-version: 1.2\n",
+    "format-version: 1.2\n\n[Term]\nid: GO:0000001\nis_obsolete: true\n",
+], ids=["header_only", "all_obsolete"])
+def test_cli_pgr_with_empty_go_ontology_exits_two(fixtures, tmp_path, capsys, obo):
+    # a gene without usable annotations falls back to a root; with no live
+    # term there is none, which used to end in a traceback
+    go = tmp_path / "go_empty.obo"
+    go.write_text(obo, encoding="utf-8")
+    ontologies = {"go": str(go), "hp": str(fixtures / "hp_mini.obo")}
+    config = materialize_config(fixtures, tmp_path, "pgr.config.json",
+                                mutate={"ontologies": ontologies})
+    assert run_cli("preprocess", "--config", str(config),
+                   "--out", str(tmp_path / "x.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "go ontology has no non-obsolete term" in err
+    assert "Traceback" not in err
+
+
+def test_cli_train_with_wrong_vector_header_count_exits_two(fixtures, tmp_path, capsys):
+    vectors = tmp_path / "vectors.txt"
+    text = (fixtures / "vectors.txt").read_text(encoding="utf-8")
+    vectors.write_text(text.replace("2 6", "5 6", 1), encoding="utf-8")
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json",
+                                mutate={"vectors": str(vectors)})
+    instances = tmp_path / "instances.jsonl"
+    model = tmp_path / "model.json"
+    assert run_cli("preprocess", "--config", str(config), "--out", str(instances)) == 0
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(config), "--in", str(instances),
+                   "--model", str(model)) == 2
+    err = capsys.readouterr().err
+    assert "header count 5 vs 2 vector lines" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 def test_cli_evaluate_and_predict_reject_config_option(fixtures, tmp_path, capsys):
     config = str(fixtures / "ddi.config.json")
     for command in ("evaluate", "predict"):
