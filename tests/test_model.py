@@ -82,6 +82,15 @@ def test_build_vocabularies_extra_words_appended():
     assert list(vocab).count("binds") == 1
 
 
+def test_channel_sequences():
+    instance = make_instance(common=["X:1"])
+    assert m.CHANNELS["words"].tokens(instance, None) == instance.sdp_tokens
+    assert m.CHANNELS["classes"].tokens(instance, None) == instance.sdp_classes
+    assert m.CHANNELS["onto_concat"].tokens(instance, None) == ["X:2", "X:1", "X:3", "X:1"]
+    assert m.CHANNELS["onto_common"].tokens(instance, None) == ["X:1"]
+    assert m.CHANNELS["onto_common"].tokens(make_instance(common=None), None) == []
+
+
 def test_build_vocabularies_builds_only_the_channels_given():
     instance = make_instance(common=["X:1"])
     for channels in (["words"], ["classes", "onto_common"], list(m.CHANNELS)):
