@@ -18,13 +18,6 @@ from .model import CHANNELS, ModelDims, TrainConfig
 CORPORA = ("ddi", "pgr", "cdr")
 ONTOLOGY_NAMESPACES = ("go", "hp", "doid", "chebi")
 
-_TOP_KEYS = {
-    "corpus", "corpus_path", "ontologies", "gaf", "xref", "lexicon",
-    "parses", "vectors", "column_map", "truthy_tokens", "split_fraction",
-    "seed", "channels", "model", "train",
-}
-
-
 @dataclass
 class RunConfig:
     corpus: str
@@ -102,7 +95,7 @@ def load_config(config_path: str | Path) -> RunConfig:
         raise ConfigError(f"config is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("config must be a JSON object")
-    _reject_unknown(payload, _TOP_KEYS, "config")
+    _reject_unknown(payload, {f.name for f in fields(RunConfig)}, "config")
     base = config_path.parent
 
     corpus = payload.get("corpus")

@@ -235,7 +235,7 @@ def parse_pgr_tsv(
         cols = line.split("\t")
         sent_id = cell(cols, "sentence_id")
         text = cell(cols, "sentence_text")
-        doc_id = cols[index["doc_id"]] if "doc_id" in index else sent_id
+        doc_id = cell(cols, "doc_id") if "doc_id" in index else sent_id
         record = sentences.get(sent_id)
         if record is None:
             record = SentenceRecord(sentence_id=sent_id, doc_id=doc_id, text=text)

@@ -450,23 +450,16 @@ def build_instance(
 def _candidate_pairs(
     sentence: SentenceRecord, pair_types: tuple[str, str]
 ) -> list[tuple[EntityMention, EntityMention]]:
-    type_a, type_b = pair_types
+    wanted = sorted(pair_types)
     ordered = sorted(
         sentence.entities, key=lambda m: (m.char_start, m.char_end, m.mention_id)
     )
-    pairs: list[tuple[EntityMention, EntityMention]] = []
-    if type_a == type_b:
-        members = [m for m in ordered if m.entity_type == type_a]
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    else:
-        for i in range(len(ordered)):
-            for j in range(i + 1, len(ordered)):
-                m1, m2 = ordered[i], ordered[j]
-                if {m1.entity_type, m2.entity_type} == {type_a, type_b}:
-                    pairs.append((m1, m2))
-    return pairs
+    return [
+        (m1, m2)
+        for i, m1 in enumerate(ordered)
+        for m2 in ordered[i + 1:]
+        if sorted((m1.entity_type, m2.entity_type)) == wanted
+    ]
 
 
 def generate_instances(

@@ -344,65 +344,68 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def _lstm_weights(
-    tensors: dict[str, np.ndarray], channel: str, direction: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    prefix = f"{channel}.{direction}"
-    return tensors[f"{prefix}.W"], tensors[f"{prefix}.R"], tensors[f"{prefix}.b"]
+def _gate_views(gates: np.ndarray) -> list[np.ndarray]:
+    """The i, f, o and g quarters of one step's (2, B, 4H) gates, as views."""
+    H = gates.shape[-1] // 4
+    return [gates[..., k * H:(k + 1) * H] for k in range(4)]
 
 
 def _lstm_run(
     X: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, list[dict]]:
-    """Run the recurrence over (B, T, D) inputs; returns final h and a cache."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Run a channel's two directions over (B, T, D) inputs as one recurrence.
+
+    W, R and b stack the forward and the backward tensors on a leading axis
+    of 2; the backward direction reads the inputs time-reversed.  Returns
+    the (T, 2, B, 4H) activated gates i, f, o, g and the (T+1, 2, B, H) cell
+    and hidden states, step 0 being the zero start.
+    """
     B, T, _ = X.shape
-    H = R.shape[0]
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    cache: list[dict] = []
+    H = R.shape[1]
+    X = np.stack((X, X[:, ::-1]))  # (2, B, T, D), each direction in reading order
+    gates = np.empty((T, 2, B, 4 * H))
+    c = np.zeros((T + 1, 2, B, H))
+    h = np.zeros((T + 1, 2, B, H))
     for t in range(T):
-        x = X[:, t, :]
-        a = x @ W + h @ R + b
-        i = _sigmoid(a[:, 0 * H:1 * H])
-        f = _sigmoid(a[:, 1 * H:2 * H])
-        o = _sigmoid(a[:, 2 * H:3 * H])
-        g = np.tanh(a[:, 3 * H:4 * H])
-        c_next = f * c + i * g
-        tanh_c = np.tanh(c_next)
-        h_next = o * tanh_c
-        cache.append(
-            {"x": x, "i": i, "f": f, "o": o, "g": g,
-             "c_prev": c, "h_prev": h, "tanh_c": tanh_c}
-        )
-        h, c = h_next, c_next
-    return h, cache
+        # x W + h R + b add up in place in the step's gate slot, which then
+        # takes the activations: at predict-sized B each (2, B, 4H)
+        # temporary saved is several MB of memory traffic
+        a = np.matmul(X[:, :, t], W, out=gates[t])
+        a += h[t] @ R
+        a += b[:, None, :]
+        a[..., :3 * H] = _sigmoid(a[..., :3 * H])
+        a[..., 3 * H:] = np.tanh(a[..., 3 * H:])
+        i, f, o, g = _gate_views(a)
+        c[t + 1] = f * c[t] + i * g
+        h[t + 1] = o * np.tanh(c[t + 1])
+    return gates, c, h
 
 
 def _lstm_backward(
-    d_h_final: np.ndarray, cache: list[dict], W: np.ndarray, R: np.ndarray, b: np.ndarray
+    d_h_final: np.ndarray, X: np.ndarray, W: np.ndarray, R: np.ndarray,
+    gates: np.ndarray, c: np.ndarray, h: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backprop through time given the gradient at the final hidden state.
+    """Backprop through time of `_lstm_run`, given the (2, B, H) gradient at
+    both directions' final hidden states.
 
-    Returns (dW, dR, db, dX) with dX shaped (B, T, D).
+    Returns (dW, dR, db, dX): the first three stacked like W, R and b, and
+    dX the (B, T, D) sum of both directions' input gradients, in input order.
     """
-    H = R.shape[0]
-    T = len(cache)
-    B = d_h_final.shape[0]
-    D = W.shape[0]
+    B, T, D = X.shape
+    X = np.stack((X, X[:, ::-1]))
     dW = np.zeros_like(W)
     dR = np.zeros_like(R)
-    db = np.zeros_like(b)
-    dX = np.zeros((B, T, D))
-    dh = d_h_final.copy()
-    dc = np.zeros((B, H))
+    db = np.zeros((2, W.shape[2]))
+    dX = np.empty((2, B, T, D))
+    dh = d_h_final
+    dc = np.zeros_like(c[0])
     for t in range(T - 1, -1, -1):
-        step = cache[t]
-        i, f, o, g = step["i"], step["f"], step["o"], step["g"]
-        tanh_c = step["tanh_c"]
+        i, f, o, g = _gate_views(gates[t])
+        tanh_c = np.tanh(c[t + 1])
         do = dh * tanh_c
         dc = dc + dh * o * (1.0 - tanh_c ** 2)
         di = dc * g
-        df = dc * step["c_prev"]
+        df = dc * c[t]
         dg = dc * i
         da = np.concatenate(
             [
@@ -411,15 +414,15 @@ def _lstm_backward(
                 do * o * (1.0 - o),
                 dg * (1.0 - g ** 2),
             ],
-            axis=1,
+            axis=-1,
         )
-        dW += step["x"].T @ da
-        dR += step["h_prev"].T @ da
-        db += da.sum(axis=0)
-        dX[:, t, :] = da @ W.T
-        dh = da @ R.T
+        dW += X[:, :, t].transpose(0, 2, 1) @ da
+        dR += h[t].transpose(0, 2, 1) @ da
+        db += da.sum(axis=1)
+        dX[0, :, t], dX[1, :, T - 1 - t] = da @ W.transpose(0, 2, 1)
+        dh = da @ R.transpose(0, 2, 1)
         dc = dc * f
-    return dW, dR, db, dX
+    return dW, dR, db, dX[0] + dX[1]
 
 
 def _forward_cache(
@@ -429,7 +432,7 @@ def _forward_cache(
 ) -> tuple[np.ndarray, dict]:
     p = params.tensors
     outputs: list[np.ndarray] = []
-    channel_cache: dict[str, dict] = {}
+    channel_cache: dict[str, tuple] = {}
     for spec in params.specs:
         if spec.name not in batch:
             raise ShapeMismatch(f"batch lacks channel {spec.name!r}")
@@ -441,13 +444,11 @@ def _forward_cache(
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= spec.vocab_size:
             raise ShapeMismatch(f"{spec.name}: token index out of range")
         X = p[f"{spec.name}.embedding"][ids]  # (B, T, D)
-        X_rev = X[:, ::-1, :]
-        h_fwd, cache_fwd = _lstm_run(X, *_lstm_weights(p, spec.name, "fwd"))
-        h_bwd, cache_bwd = _lstm_run(X_rev, *_lstm_weights(p, spec.name, "bwd"))
-        outputs.append(np.concatenate([h_fwd, h_bwd], axis=1))
-        channel_cache[spec.name] = {
-            "ids": ids, "fwd": cache_fwd, "bwd": cache_bwd
-        }
+        W, R, b = (np.stack((p[f"{spec.name}.fwd.{k}"], p[f"{spec.name}.bwd.{k}"]))
+                   for k in "WRb")
+        gates, c, h = _lstm_run(X, W, R, b)
+        outputs.append(np.hstack(h[-1]))  # final fwd state, then final bwd state
+        channel_cache[spec.name] = (ids, X, W, R, gates, c, h)
     z = np.concatenate(outputs, axis=1)
     mask = dropout_mask if dropout_mask is not None else 1.0
     zd = z * mask
@@ -460,7 +461,6 @@ def _forward_cache(
         "zd": zd,
         "mask": mask,
         "dense": dense,
-        "probs": probs,
     }
     return probs, cache
 
@@ -523,17 +523,13 @@ def gradients(
     offset = 0
     for spec in params.specs:
         name, H = spec.name, spec.hidden_dim
-        ch_cache = cache["channels"][name]
-        d_slice = dz[:, offset:offset + 2 * H]
+        ids, *lstm_cache = cache["channels"][name]
+        d_h = dz[:, offset:offset + 2 * H].reshape(B, 2, H).transpose(1, 0, 2)
         offset += 2 * H
-        dX = {}
-        for direction, d_h in (("fwd", d_slice[:, :H]), ("bwd", d_slice[:, H:])):
-            dW, dR, db, dX[direction] = _lstm_backward(
-                d_h, ch_cache[direction], *_lstm_weights(p, name, direction))
-            prefix = f"{name}.{direction}"
-            grads[f"{prefix}.W"], grads[f"{prefix}.R"], grads[f"{prefix}.b"] = dW, dR, db
-        d_x = dX["fwd"] + dX["bwd"][:, ::-1, :]
-        rows, inverse = np.unique(ch_cache["ids"].ravel(), return_inverse=True)
+        *stacked, d_x = _lstm_backward(d_h, *lstm_cache)
+        for k, grad in zip("WRb", stacked):
+            grads[f"{name}.fwd.{k}"], grads[f"{name}.bwd.{k}"] = grad
+        rows, inverse = np.unique(ids.ravel(), return_inverse=True)
         row_grads = np.zeros((len(rows), spec.embed_dim))
         # add.at sums each row's terms in the batch's ravel order, the order
         # of a scatter into the whole table; a sorted segment sum would

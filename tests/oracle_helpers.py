@@ -2,10 +2,12 @@
 
 These deliberately use different algorithms from the package: fixed-point
 iteration for the ancestor closure, memoized top-down recursion for depths,
-root-chain splicing for tree paths, and central finite differences for
-gradients.
+root-chain splicing for tree paths, central finite differences for
+gradients, and per-row scalar loops for the model's forward pass.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -166,3 +168,60 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray,
             continue
         worst = max(worst, abs(a[i] - n[i]) / scale)
     return worst
+
+
+def _sigmoid(value: float) -> float:
+    return 1.0 / (1.0 + math.exp(-value))
+
+
+def _affine(inputs: list[float], weights: list[list[float]], bias: list[float]
+            ) -> list[float]:
+    """bias[k] + sum_j inputs[j] * weights[j][k], one scalar at a time."""
+    return [bias[k] + sum(value * weights[j][k] for j, value in enumerate(inputs))
+            for k in range(len(bias))]
+
+
+def _lstm_final_state(steps: list[list[float]], W: list[list[float]],
+                      R: list[list[float]], b: list[float]) -> list[float]:
+    """Hidden state after reading `steps` in order from zero h and c: per
+    step a = x W + h R + b, gates i, f, o = sigmoid and g = tanh of a's four
+    quarters in that order, c = f c + i g and h = o tanh(c)."""
+    H = len(R)
+    h = [0.0] * H
+    c = [0.0] * H
+    for x in steps:
+        a = _affine(x + h, W + R, b)  # list concatenation: [x h] [W; R] + b
+        i = [_sigmoid(v) for v in a[:H]]
+        f = [_sigmoid(v) for v in a[H:2 * H]]
+        o = [_sigmoid(v) for v in a[2 * H:3 * H]]
+        g = [math.tanh(v) for v in a[3 * H:]]
+        c = [f[k] * c[k] + i[k] * g[k] for k in range(H)]
+        h = [o[k] * math.tanh(c[k]) for k in range(H)]
+    return h
+
+
+def reference_forward(specs, tensors: dict[str, np.ndarray],
+                      batch: dict[str, np.ndarray]) -> np.ndarray:
+    """Class probabilities of the multichannel BiLSTM, one batch row at a
+    time with scalar loops: no batching and no matrix products.
+
+    Each channel embeds its row's ids and runs its forward LSTM over them and
+    its backward LSTM over them reversed.  The final forward then backward
+    hidden state of every channel, in spec order, form z; the output is
+    softmax(tanh(z dense.W + dense.b) out.W + out.b).
+    """
+    t = {name: tensor.tolist() for name, tensor in tensors.items()}
+    rows = len(batch[specs[0].name])
+    probs = np.zeros((rows, 2))
+    for row in range(rows):
+        z: list[float] = []
+        for spec in specs:
+            steps = [t[f"{spec.name}.embedding"][k] for k in batch[spec.name][row]]
+            for direction, order in (("fwd", steps), ("bwd", steps[::-1])):
+                weights = (t[f"{spec.name}.{direction}.{k}"] for k in "WRb")
+                z += _lstm_final_state(order, *weights)
+        dense = [math.tanh(v) for v in _affine(z, t["dense.W"], t["dense.b"])]
+        logits = _affine(dense, t["out.W"], t["out.b"])
+        exps = [math.exp(v - max(logits)) for v in logits]
+        probs[row] = [e / sum(exps) for e in exps]
+    return probs

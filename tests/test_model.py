@@ -22,6 +22,7 @@ from oracle_helpers import (
     dense_gradients,
     finite_difference_gradients,
     max_relative_error,
+    reference_forward,
 )
 
 
@@ -297,6 +298,22 @@ def test_forward_shapes_and_normalization():
     assert probs.shape == (2, 2)
     assert np.allclose(probs.sum(axis=1), 1.0)
     assert np.array_equal(probs, m.forward(params, batch))  # eval is deterministic
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_forward_matches_scalar_reference(rows):
+    # weights moved away from init, so the forget biases are not all 1 and a
+    # swapped gate or an unreversed backward direction changes the output
+    specs = [m.ChannelSpec("words", vocab_size=7, embed_dim=3, hidden_dim=3, max_len=5),
+             m.ChannelSpec("onto_concat", vocab_size=6, embed_dim=2, hidden_dim=3, max_len=4)]
+    params = m.init_params(specs, dense_dim=4, seed=3)
+    rng = np.random.default_rng(17)
+    for tensor in params.tensors.values():
+        tensor += rng.normal(0.0, 0.5, size=tensor.shape)
+    batch = {spec.name: rng.integers(0, spec.vocab_size, size=(rows, spec.max_len))
+             for spec in specs}
+    expected = reference_forward(params.specs, params.tensors, batch)
+    assert np.max(np.abs(m.forward(params, batch) - expected)) <= 1e-12
 
 
 def test_forward_rejects_wrong_width():

@@ -10,6 +10,7 @@ from biont import pipeline
 from biont.config import load_config
 from biont.errors import ConfigError, DataError
 from biont.instances import Instance, load_instances
+from biont.model import forward
 from test_model import (
     b64,
     drop_every_channel,
@@ -321,6 +322,24 @@ def test_predict_writes_json_lines(fixtures, tmp_path):
         assert 0.0 <= row["prob_positive"] <= 1.0
 
 
+def test_forward_is_invariant_to_batch_partition(fixtures, tmp_path):
+    # how the rows are split into batches changes the shapes BLAS sees, not
+    # the probabilities beyond 1e-12
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    params, encoder, instances = pipeline._load_for_inference(
+        tmp_path / "model.json", tmp_path / "instances.jsonl")
+    encoded = encoder.encode(instances).ids
+    rng = np.random.default_rng(5)
+    batch = {spec.name: np.concatenate([
+        encoded[spec.name], rng.integers(0, spec.vocab_size, size=(9, spec.max_len))])
+        for spec in params.specs}
+    whole = forward(params, batch)
+    chunks = [forward(params, {name: ids[part] for name, ids in batch.items()})
+              for part in (slice(0, 1), slice(1, 4), slice(4, None))]
+    assert len(whole) == 12
+    assert np.max(np.abs(np.concatenate(chunks) - whole)) <= 1e-12
+
+
 def test_pgr_split_produces_nonempty_dev(fixtures, tmp_path):
     # two sentence groups at fraction 0.5: one goes to each side
     config = load_config(fixtures / "pgr.config.json")
@@ -426,6 +445,24 @@ def test_cli_pgr_with_empty_go_ontology_exits_two(fixtures, tmp_path, capsys, ob
                    "--out", str(tmp_path / "x.jsonl")) == 2
     err = capsys.readouterr().err
     assert "go ontology has no non-obsolete term" in err
+    assert "Traceback" not in err
+
+
+def test_cli_pgr_row_short_of_mapped_doc_id_exits_two(fixtures, tmp_path, capsys):
+    # the doc_id column used to be read by index, so a row that stopped
+    # before it ended in an IndexError traceback
+    rows = (fixtures / "pgr_corpus.tsv").read_text(encoding="utf-8").splitlines()
+    header, body = rows[0] + "\tpmid", [row + "\t1000" for row in rows[1:-1]] + rows[-1:]
+    tsv = tmp_path / "pgr_corpus.tsv"
+    tsv.write_text("\n".join([header] + body) + "\n", encoding="utf-8")
+    column_map = dict(json.loads((fixtures / "pgr.config.json").read_text(
+        encoding="utf-8"))["column_map"], doc_id="pmid")
+    config = materialize_config(fixtures, tmp_path, "pgr.config.json",
+                                mutate={"corpus_path": str(tsv), "column_map": column_map})
+    assert run_cli("preprocess", "--config", str(config),
+                   "--out", str(tmp_path / "x.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "row too short for column 'pmid'" in err
     assert "Traceback" not in err
 
 
