@@ -12,6 +12,7 @@ data file that is missing, cannot be opened or written, or is not UTF-8).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import load_config
@@ -23,6 +24,18 @@ class _Parser(argparse.ArgumentParser):
     # usage problems are validation errors (exit 1), not argparse's exit 2
     def error(self, message: str):
         raise ConfigError(message)
+
+
+def _threshold(text: str) -> float:
+    # float() takes "nan", and no probability is >= NaN, so a NaN threshold
+    # would label every instance negative; values outside [0, 1] stay valid
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"threshold must be a number, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,13 +58,13 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--in", dest="instances", required=True)
     evaluate.add_argument("--out", required=True, help="metrics TSV to write")
-    evaluate.add_argument("--threshold", type=float, default=0.5)
+    evaluate.add_argument("--threshold", type=_threshold, default=0.5)
 
     predict = sub.add_parser("predict", help="write per-instance probabilities")
     predict.add_argument("--model", required=True)
     predict.add_argument("--in", dest="instances", required=True)
     predict.add_argument("--out", required=True, help="predictions JSON-lines to write")
-    predict.add_argument("--threshold", type=float, default=0.5)
+    predict.add_argument("--threshold", type=_threshold, default=0.5)
 
     return parser
 

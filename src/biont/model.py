@@ -43,6 +43,7 @@ MODEL_VERSION = "2"
 
 _INIT_SCALE = 0.08
 _BASE64_BLOCK = 3 * 2**16  # bytes of tensor data per base64 piece
+_EVAL_ROWS = 256  # most rows per `forward` chunk
 
 
 @dataclass
@@ -351,33 +352,37 @@ def _gate_views(gates: np.ndarray) -> list[np.ndarray]:
 
 
 def _lstm_run(
-    X: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray
+    X: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray, keep_cache: bool = True
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run a channel's two directions over (B, T, D) inputs as one recurrence.
 
     W, R and b stack the forward and the backward tensors on a leading axis
     of 2; the backward direction reads the inputs time-reversed.  Returns
     the (T, 2, B, 4H) activated gates i, f, o, g and the (T+1, 2, B, H) cell
-    and hidden states, step 0 being the zero start.
+    and hidden states, step 0 being the zero start.  Without `keep_cache`
+    they hold one gate slot and two state slots, which the steps reuse in
+    turn; either way the final hidden state is `h[T % len(h)]`.
     """
     B, T, _ = X.shape
     H = R.shape[1]
+    n = T + 1 if keep_cache else 2  # state slots; step t reads t % n, writes (t + 1) % n
     X = np.stack((X, X[:, ::-1]))  # (2, B, T, D), each direction in reading order
-    gates = np.empty((T, 2, B, 4 * H))
-    c = np.zeros((T + 1, 2, B, H))
-    h = np.zeros((T + 1, 2, B, H))
+    gates = np.empty((n - 1, 2, B, 4 * H))
+    c = np.zeros((n, 2, B, H))
+    h = np.zeros((n, 2, B, H))
     for t in range(T):
+        now, nxt = t % n, (t + 1) % n
         # x W + h R + b add up in place in the step's gate slot, which then
         # takes the activations: at predict-sized B each (2, B, 4H)
         # temporary saved is several MB of memory traffic
-        a = np.matmul(X[:, :, t], W, out=gates[t])
-        a += h[t] @ R
+        a = np.matmul(X[:, :, t], W, out=gates[t % len(gates)])
+        a += h[now] @ R
         a += b[:, None, :]
         a[..., :3 * H] = _sigmoid(a[..., :3 * H])
         a[..., 3 * H:] = np.tanh(a[..., 3 * H:])
         i, f, o, g = _gate_views(a)
-        c[t + 1] = f * c[t] + i * g
-        h[t + 1] = o * np.tanh(c[t + 1])
+        c[nxt] = f * c[now] + i * g
+        h[nxt] = o * np.tanh(c[nxt])
     return gates, c, h
 
 
@@ -429,6 +434,7 @@ def _forward_cache(
     params: ModelParams,
     batch: dict[str, np.ndarray],
     dropout_mask: np.ndarray | None = None,
+    keep_cache: bool = True,
 ) -> tuple[np.ndarray, dict]:
     p = params.tensors
     outputs: list[np.ndarray] = []
@@ -446,9 +452,11 @@ def _forward_cache(
         X = p[f"{spec.name}.embedding"][ids]  # (B, T, D)
         W, R, b = (np.stack((p[f"{spec.name}.fwd.{k}"], p[f"{spec.name}.bwd.{k}"]))
                    for k in "WRb")
-        gates, c, h = _lstm_run(X, W, R, b)
-        outputs.append(np.hstack(h[-1]))  # final fwd state, then final bwd state
-        channel_cache[spec.name] = (ids, X, W, R, gates, c, h)
+        gates, c, h = _lstm_run(X, W, R, b, keep_cache)
+        # final fwd state, then final bwd state
+        outputs.append(np.hstack(h[spec.max_len % len(h)]))
+        if keep_cache:
+            channel_cache[spec.name] = (ids, X, W, R, gates, c, h)
     z = np.concatenate(outputs, axis=1)
     mask = dropout_mask if dropout_mask is not None else 1.0
     zd = z * mask
@@ -467,9 +475,22 @@ def _forward_cache(
 
 def forward(params: ModelParams, batch: dict[str, np.ndarray]) -> np.ndarray:
     """Class probabilities, one row per batch item (rows sum to 1), without
-    dropout."""
-    probs, _ = _forward_cache(params, batch)
-    return probs
+    dropout.
+
+    The rows run in near-equal contiguous chunks of at most `_EVAL_ROWS`,
+    and each chunk keeps only the current h and c of its recurrence, not
+    the backprop cache, so memory does not grow with the number of rows.
+    """
+    rows = len(next(iter(batch.values()), ()))
+    chunks = max(1, -(-rows // _EVAL_ROWS))
+    # near-equal chunks, not full ones plus a short remainder: a chunk of a
+    # few rows takes other BLAS kernels, which move the outputs' last bits
+    parts = {name: np.array_split(ids, chunks) for name, ids in batch.items()}
+    return np.concatenate([
+        _forward_cache(params, {name: split[k] for name, split in parts.items()},
+                       keep_cache=False)[0]
+        for k in range(chunks)
+    ])
 
 
 # --- loss and gradients ---------------------------------------------------------

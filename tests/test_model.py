@@ -300,10 +300,9 @@ def test_forward_shapes_and_normalization():
     assert np.array_equal(probs, m.forward(params, batch))  # eval is deterministic
 
 
-@pytest.mark.parametrize("rows", [1, 4])
-def test_forward_matches_scalar_reference(rows):
-    # weights moved away from init, so the forget biases are not all 1 and a
-    # swapped gate or an unreversed backward direction changes the output
+def moved_setup(rows):
+    """Two-channel model with every tensor moved off its init by N(0, 0.5)
+    noise, and `rows` random rows."""
     specs = [m.ChannelSpec("words", vocab_size=7, embed_dim=3, hidden_dim=3, max_len=5),
              m.ChannelSpec("onto_concat", vocab_size=6, embed_dim=2, hidden_dim=3, max_len=4)]
     params = m.init_params(specs, dense_dim=4, seed=3)
@@ -312,8 +311,66 @@ def test_forward_matches_scalar_reference(rows):
         tensor += rng.normal(0.0, 0.5, size=tensor.shape)
     batch = {spec.name: rng.integers(0, spec.vocab_size, size=(rows, spec.max_len))
              for spec in specs}
+    return params, batch
+
+
+@pytest.mark.parametrize("rows", [1, 4])
+def test_forward_matches_scalar_reference(rows):
+    # weights moved away from init, so the forget biases are not all 1 and a
+    # swapped gate or an unreversed backward direction changes the output
+    params, batch = moved_setup(rows)
     expected = reference_forward(params.specs, params.tensors, batch)
     assert np.max(np.abs(m.forward(params, batch) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("steps", [4, 5])
+def test_lstm_run_without_cache_ends_in_the_cached_final_state(steps):
+    # two state slots used in turn: an odd and an even T end in different slots
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(3, steps, 2))
+    W, R, b = (rng.normal(0.0, 0.5, size=shape) for shape in ((2, 2, 12), (2, 3, 12), (2, 12)))
+    _, _, h_cached = m._lstm_run(X, W, R, b)
+    gates, c, h = m._lstm_run(X, W, R, b, keep_cache=False)
+    assert gates.shape == (1, 2, 3, 12) and c.shape == h.shape == (2, 2, 3, 3)
+    assert np.array_equal(h[steps % len(h)], h_cached[-1])
+
+
+@pytest.mark.parametrize("rows, chunks", [
+    (0, [0]), (1, [1]), (255, [255]), (256, [256]), (257, [129, 128]),
+    (700, [234, 233, 233]),
+])
+def test_forward_in_chunks_matches_one_full_batch(monkeypatch, rows, chunks):
+    params, batch = moved_setup(rows)
+    full, _ = m._forward_cache(params, batch)
+    seen = []
+    real = m._forward_cache
+
+    def recording(params, batch, **kwargs):
+        seen.append(len(batch["words"]))
+        return real(params, batch, **kwargs)
+
+    monkeypatch.setattr(m, "_forward_cache", recording)
+    probs = m.forward(params, batch)
+    assert seen == chunks
+    assert probs.shape == (rows, 2)
+    assert np.max(np.abs(probs - full), initial=0.0) <= 1e-12
+
+
+def test_forward_keeps_no_cache_and_flat_memory():
+    params, batch = moved_setup(8 * m._EVAL_ROWS)
+    _, cache = m._forward_cache(params, batch, keep_cache=False)
+    assert cache["channels"] == {}
+    peaks = []
+    for rows in (m._EVAL_ROWS, 8 * m._EVAL_ROWS):
+        part = {name: ids[:rows] for name, ids in batch.items()}
+        tracemalloc.start()
+        try:
+            m.forward(params, part)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        peaks.append(peak)
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_forward_rejects_wrong_width():

@@ -492,6 +492,30 @@ def test_cli_evaluate_and_predict_reject_config_option(fixtures, tmp_path, capsy
     assert "--config" in capsys.readouterr().err
 
 
+def nan_threshold_run(fixtures, tmp_path, capsys, command):
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    code = run_cli(command, "--model", str(tmp_path / "model.json"),
+                   "--in", str(tmp_path / "instances.jsonl"), "--out", str(out),
+                   "--threshold", "nan")
+    err = capsys.readouterr().err
+    assert "--threshold" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    return code
+
+
+def test_cli_predict_nan_threshold_exits_one(fixtures, tmp_path, capsys):
+    # NaN labelled every instance negative and exited 0
+    assert nan_threshold_run(fixtures, tmp_path, capsys, "predict") == 1
+
+
+def test_cli_evaluate_nan_threshold_exits_one(fixtures, tmp_path, capsys):
+    # NaN labelled every instance negative and reported F 0.0000
+    assert nan_threshold_run(fixtures, tmp_path, capsys, "evaluate") == 1
+
+
 def test_cli_model_with_swapped_tensor_shape_exits_two(fixtures, tmp_path, capsys):
     assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
     model = tmp_path / "model.json"
