@@ -3,7 +3,9 @@
 Each channel (sdp words, supersense classes, concatenated ancestor chains,
 common-ancestor chain) owns an embedding matrix and a forward + backward
 LSTM; the final forward state concatenated with the final backward state of
-every enabled channel feeds one tanh dense layer and a 2-way softmax.
+every enabled channel feeds one tanh dense layer and a 2-way softmax.  A
+row's sequence ends at its last non-padding id, so padding past it does not
+change any output.
 
 Index 0 is padding (embedding row pinned to zeros), index 1 is out-of-
 vocabulary.  Gate order everywhere is i, f, o, g.  All randomness comes from
@@ -335,10 +337,6 @@ def init_params(specs: list[ChannelSpec], dense_dim: int, seed: int) -> ModelPar
 # --- forward ------------------------------------------------------------------
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
-
-
 def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
@@ -346,27 +344,43 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _gate_views(gates: np.ndarray) -> list[np.ndarray]:
-    """The i, f, o and g quarters of one step's (2, B, 4H) gates, as views."""
+    """The i, f, o and g quarters of gates of width 4H, as views."""
     H = gates.shape[-1] // 4
     return [gates[..., k * H:(k + 1) * H] for k in range(4)]
 
 
+def _row_ends(lengths: np.ndarray) -> dict[int, list[int]]:
+    """length -> the rows of that length."""
+    ends: dict[int, list[int]] = {}
+    for row, length in enumerate(lengths.tolist()):
+        ends.setdefault(length, []).append(row)
+    return ends
+
+
 def _lstm_run(
-    X: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray, keep_cache: bool = True
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Run a channel's two directions over (B, T, D) inputs as one recurrence.
+    X: np.ndarray, W: np.ndarray, R: np.ndarray, b: np.ndarray, lengths: np.ndarray,
+    keep_cache: bool = True,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Run a channel's two directions over (2, T, B, D) inputs as one recurrence.
 
     W, R and b stack the forward and the backward tensors on a leading axis
-    of 2; the backward direction reads the inputs time-reversed.  Returns
-    the (T, 2, B, 4H) activated gates i, f, o, g and the (T+1, 2, B, H) cell
-    and hidden states, step 0 being the zero start.  Without `keep_cache`
-    they hold one gate slot and two state slots, which the steps reuse in
-    turn; either way the final hidden state is `h[T % len(h)]`.
+    of 2, and X the two directions' inputs, each in its own reading order.
+    Row b's sequence is its first `lengths[b]` steps: the loop runs T steps,
+    and a row's state after its last step is its result.  Returns that
+    (2, B, H) final hidden state (zero for a row of length 0), then the
+    (T, 2, B, 4H) activated gates i, f, o, g and the (T+1, 2, B, H) cell and
+    hidden states, step 0 being the zero start.  Without `keep_cache` those
+    hold one gate slot and two state slots, which the steps reuse in turn.
     """
-    B, T, _ = X.shape
+    _, T, B, _ = X.shape
     H = R.shape[1]
     n = T + 1 if keep_cache else 2  # state slots; step t reads t % n, writes (t + 1) % n
-    X = np.stack((X, X[:, ::-1]))  # (2, B, T, D), each direction in reading order
+    # sigmoid(a) = (1 + tanh(a / 2)) / 2, so with the i, f and o columns
+    # halved (exact in binary) one tanh activates all four gates
+    half = np.where(np.arange(4 * H) < 3 * H, 0.5, 1.0)
+    W, R, b, shift = W * half, R * half, b[:, None, :] * half, 1.0 - half
+    ends = _row_ends(lengths)
+    final = np.zeros((2, B, H))
     gates = np.empty((n - 1, 2, B, 4 * H))
     c = np.zeros((n, 2, B, H))
     h = np.zeros((n, 2, B, H))
@@ -375,59 +389,65 @@ def _lstm_run(
         # x W + h R + b add up in place in the step's gate slot, which then
         # takes the activations: at predict-sized B each (2, B, 4H)
         # temporary saved is several MB of memory traffic
-        a = np.matmul(X[:, :, t], W, out=gates[t % len(gates)])
+        a = np.matmul(X[:, t], W, out=gates[t % len(gates)])
         a += h[now] @ R
-        a += b[:, None, :]
-        a[..., :3 * H] = _sigmoid(a[..., :3 * H])
-        a[..., 3 * H:] = np.tanh(a[..., 3 * H:])
+        a += b
+        np.tanh(a, out=a)
+        a *= half
+        a += shift
         i, f, o, g = _gate_views(a)
-        c[nxt] = f * c[now] + i * g
-        h[nxt] = o * np.tanh(c[nxt])
-    return gates, c, h
+        c_next = np.multiply(f, c[now], out=c[nxt])
+        c_next += i * g
+        h_next = np.tanh(c_next, out=h[nxt])
+        h_next *= o
+        rows = ends.get(t + 1)
+        if rows is not None:
+            final[:, rows] = h_next[:, rows]
+    return final, gates, c, h
 
 
 def _lstm_backward(
-    d_h_final: np.ndarray, X: np.ndarray, W: np.ndarray, R: np.ndarray,
-    gates: np.ndarray, c: np.ndarray, h: np.ndarray,
+    d_final: np.ndarray, lengths: np.ndarray, X: np.ndarray, W: np.ndarray,
+    R: np.ndarray, gates: np.ndarray, c: np.ndarray, h: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backprop through time of `_lstm_run`, given the (2, B, H) gradient at
-    both directions' final hidden states.
+    each row's final hidden state in both directions.
 
-    Returns (dW, dR, db, dX): the first three stacked like W, R and b, and
-    dX the (B, T, D) sum of both directions' input gradients, in input order.
+    Returns (dW, dR, db, dX) stacked like W, R, b and X.  Every factor that
+    does not depend on the incoming gradient is computed for all steps
+    before the loop, which keeps only the recurrence through h and c; the
+    pre-activation gradients of all steps then give dW, dR, db and dX in
+    one product or sum each over all T·B rows.
     """
-    B, T, D = X.shape
-    X = np.stack((X, X[:, ::-1]))
-    dW = np.zeros_like(W)
-    dR = np.zeros_like(R)
-    db = np.zeros((2, W.shape[2]))
-    dX = np.empty((2, B, T, D))
-    dh = d_h_final
-    dc = np.zeros_like(c[0])
+    _, T, B, D = X.shape
+    H = R.shape[1]
+    i, f, o, g = _gate_views(gates)
+    tanh_c = np.tanh(c[1:])
+    dc_dh = o * (1.0 - tanh_c ** 2)
+    # per step, da = dc * M with the o quarter taking dh * M instead
+    M = np.stack((g * i * (1.0 - i), c[:-1] * f * (1.0 - f),
+                  tanh_c * o * (1.0 - o), i * (1.0 - g ** 2)), axis=3)
+    ends = _row_ends(lengths)
+    R_T = R.transpose(0, 2, 1)
+    da = np.empty((2, T, B, 4, H))
+    dh = np.zeros((2, B, H))
+    dc = np.zeros((2, B, H))
     for t in range(T - 1, -1, -1):
-        i, f, o, g = _gate_views(gates[t])
-        tanh_c = np.tanh(c[t + 1])
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c ** 2)
-        di = dc * g
-        df = dc * c[t]
-        dg = dc * i
-        da = np.concatenate(
-            [
-                di * i * (1.0 - i),
-                df * f * (1.0 - f),
-                do * o * (1.0 - o),
-                dg * (1.0 - g ** 2),
-            ],
-            axis=-1,
-        )
-        dW += X[:, :, t].transpose(0, 2, 1) @ da
-        dR += h[t].transpose(0, 2, 1) @ da
-        db += da.sum(axis=1)
-        dX[0, :, t], dX[1, :, T - 1 - t] = da @ W.transpose(0, 2, 1)
-        dh = da @ R.transpose(0, 2, 1)
-        dc = dc * f
-    return dW, dR, db, dX[0] + dX[1]
+        rows = ends.get(t + 1)
+        if rows is not None:
+            dh[:, rows] += d_final[:, rows]
+        dc += dh * dc_dh[t]
+        step = np.multiply(dc[:, :, None], M[t], out=da[:, t])
+        np.multiply(dh, M[t, :, :, 2], out=step[:, :, 2])
+        dh = step.reshape(2, B, 4 * H) @ R_T
+        dc *= f[t]
+    # explicit sizes: at T = 0 a -1 in these reshapes is ambiguous
+    da = da.reshape(2, T * B, 4 * H)
+    h_prev = h[:-1].transpose(1, 0, 2, 3).reshape(2, T * B, H)
+    dW = X.reshape(2, T * B, D).transpose(0, 2, 1) @ da
+    dR = h_prev.transpose(0, 2, 1) @ da
+    dX = (da @ W.transpose(0, 2, 1)).reshape(2, T, B, D)
+    return dW, dR, da.sum(axis=1), dX
 
 
 def _forward_cache(
@@ -449,14 +469,23 @@ def _forward_cache(
             )
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= spec.vocab_size:
             raise ShapeMismatch(f"{spec.name}: token index out of range")
-        X = p[f"{spec.name}.embedding"][ids]  # (B, T, D)
+        # a row runs to its last non-pad id; an interior pad id is a real step
+        lengths = np.max(np.where(ids != PAD_INDEX, np.arange(1, spec.max_len + 1), 0),
+                         axis=1, initial=0)
+        ids = ids[:, :lengths.max(initial=0)]
+        steps = np.arange(ids.shape[1])
+        # the backward direction reads each row reversed within its length:
+        # t -> L-1-t for t < L, and padding stays put, so the index is its
+        # own inverse
+        rev = np.where(steps < lengths[:, None], lengths[:, None] - 1 - steps, steps)
+        both = np.stack((ids, np.take_along_axis(ids, rev, axis=1))).transpose(0, 2, 1)
+        X = p[f"{spec.name}.embedding"][both]  # (2, T, B, D)
         W, R, b = (np.stack((p[f"{spec.name}.fwd.{k}"], p[f"{spec.name}.bwd.{k}"]))
                    for k in "WRb")
-        gates, c, h = _lstm_run(X, W, R, b, keep_cache)
-        # final fwd state, then final bwd state
-        outputs.append(np.hstack(h[spec.max_len % len(h)]))
+        final, *lstm_cache = _lstm_run(X, W, R, b, lengths, keep_cache)
+        outputs.append(np.hstack(final))  # final fwd state, then final bwd state
         if keep_cache:
-            channel_cache[spec.name] = (ids, X, W, R, gates, c, h)
+            channel_cache[spec.name] = (ids, rev, lengths, X, W, R, *lstm_cache)
     z = np.concatenate(outputs, axis=1)
     mask = dropout_mask if dropout_mask is not None else 1.0
     zd = z * mask
@@ -516,10 +545,11 @@ def gradients(
 
     Returns (loss value, tensor-name -> gradient) with the names of
     ModelParams.tensors.  Each `<channel>.embedding` gradient is row-sparse:
-    a pair (rows, row_grads) of the sorted distinct ids the batch uses and
-    the (len(rows), embed_dim) gradient of those rows; every other row's
-    gradient is zero.  The other tensors' gradients are dense.  Pass no
-    dropout mask when checking against finite differences.
+    a pair (rows, row_grads) of the sorted distinct ids the batch reads (its
+    columns up to its longest row) and the (len(rows), embed_dim) gradient
+    of those rows; every other row's gradient is zero.  The other tensors'
+    gradients are dense.  Pass no dropout mask when checking against finite
+    differences.
     """
     probs, cache = _forward_cache(params, batch, dropout_mask)
     loss_value = loss(probs, labels, class_weight_positive)
@@ -544,18 +574,21 @@ def gradients(
     offset = 0
     for spec in params.specs:
         name, H = spec.name, spec.hidden_dim
-        ids, *lstm_cache = cache["channels"][name]
+        ids, rev, lengths, *lstm_cache = cache["channels"][name]
         d_h = dz[:, offset:offset + 2 * H].reshape(B, 2, H).transpose(1, 0, 2)
         offset += 2 * H
-        *stacked, d_x = _lstm_backward(d_h, *lstm_cache)
+        *stacked, d_x = _lstm_backward(d_h, lengths, *lstm_cache)
         for k, grad in zip("WRb", stacked):
             grads[f"{name}.fwd.{k}"], grads[f"{name}.bwd.{k}"] = grad
+        # the reversal index maps the backward direction's (T, B, D) input
+        # gradients back to input order
+        d_x = d_x[0] + np.take_along_axis(d_x[1], rev.T[:, :, None], axis=0)
         rows, inverse = np.unique(ids.ravel(), return_inverse=True)
         row_grads = np.zeros((len(rows), spec.embed_dim))
         # add.at sums each row's terms in the batch's ravel order, the order
         # of a scatter into the whole table; a sorted segment sum would
         # reorder them and move the trained weights in their last bits
-        np.add.at(row_grads, inverse, d_x.reshape(-1, spec.embed_dim))
+        np.add.at(row_grads, inverse, d_x.transpose(1, 0, 2).reshape(ids.size, spec.embed_dim))
         grads[f"{name}.embedding"] = (rows, row_grads)
     return loss_value, grads
 

@@ -205,8 +205,9 @@ def reference_forward(specs, tensors: dict[str, np.ndarray],
     """Class probabilities of the multichannel BiLSTM, one batch row at a
     time with scalar loops: no batching and no matrix products.
 
-    Each channel embeds its row's ids and runs its forward LSTM over them and
-    its backward LSTM over them reversed.  The final forward then backward
+    Each channel embeds its row's ids up to its last non-padding one (id 0
+    before it is read like any other id) and runs its forward LSTM over them
+    and its backward LSTM over them reversed.  The final forward then backward
     hidden state of every channel, in spec order, form z; the output is
     softmax(tanh(z dense.W + dense.b) out.W + out.b).
     """
@@ -216,7 +217,10 @@ def reference_forward(specs, tensors: dict[str, np.ndarray],
     for row in range(rows):
         z: list[float] = []
         for spec in specs:
-            steps = [t[f"{spec.name}.embedding"][k] for k in batch[spec.name][row]]
+            ids = batch[spec.name][row].tolist()
+            while ids and ids[-1] == 0:  # trailing padding is not read
+                ids.pop()
+            steps = [t[f"{spec.name}.embedding"][k] for k in ids]
             for direction, order in (("fwd", steps), ("bwd", steps[::-1])):
                 weights = (t[f"{spec.name}.{direction}.{k}"] for k in "WRb")
                 z += _lstm_final_state(order, *weights)

@@ -325,14 +325,76 @@ def test_forward_matches_scalar_reference(rows):
 
 @pytest.mark.parametrize("steps", [4, 5])
 def test_lstm_run_without_cache_ends_in_the_cached_final_state(steps):
-    # two state slots used in turn: an odd and an even T end in different slots
+    # two state slots used in turn: an odd and an even T end in different
+    # slots; each row's final state is its state after its own last step
     rng = np.random.default_rng(11)
-    X = rng.normal(size=(3, steps, 2))
+    X = rng.normal(size=(2, steps, 3, 2))
     W, R, b = (rng.normal(0.0, 0.5, size=shape) for shape in ((2, 2, 12), (2, 3, 12), (2, 12)))
-    _, _, h_cached = m._lstm_run(X, W, R, b)
-    gates, c, h = m._lstm_run(X, W, R, b, keep_cache=False)
+    lengths = np.array([steps, 2, 0])
+    final_cached, _, _, h_cached = m._lstm_run(X, W, R, b, lengths)
+    final, gates, c, h = m._lstm_run(X, W, R, b, lengths, keep_cache=False)
     assert gates.shape == (1, 2, 3, 12) and c.shape == h.shape == (2, 2, 3, 3)
-    assert np.array_equal(h[steps % len(h)], h_cached[-1])
+    assert np.array_equal(final, final_cached)
+    assert np.array_equal(final, h_cached[lengths, :, np.arange(3)].transpose(1, 0, 2))
+    assert not final[:, 2].any()
+
+
+def ragged_setup(seed=7):
+    """Three-channel model moved off its init, and a batch whose rows have
+    every length from 0 to `max_len`: `words` has an interior id 0 in its
+    last row, and `onto_common` is padding in every row."""
+    specs = [m.ChannelSpec("words", vocab_size=6, embed_dim=3, hidden_dim=2, max_len=4),
+             m.ChannelSpec("classes", vocab_size=5, embed_dim=2, hidden_dim=2, max_len=3),
+             m.ChannelSpec("onto_common", vocab_size=4, embed_dim=2, hidden_dim=2, max_len=3)]
+    params = m.init_params(specs, dense_dim=3, seed=seed)
+    rng = np.random.default_rng(seed)
+    for tensor in params.tensors.values():
+        tensor += rng.normal(0.0, 0.3, size=tensor.shape)
+    batch = {
+        "words": np.array([[0, 0, 0, 0], [2, 0, 0, 0], [3, 4, 0, 0],
+                           [5, 2, 3, 0], [4, 0, 2, 5]], dtype=np.int64),
+        "classes": np.array([[2, 3, 4], [0, 0, 0], [3, 0, 0],
+                             [4, 2, 0], [1, 0, 0]], dtype=np.int64),
+        "onto_common": np.zeros((5, 3), dtype=np.int64),
+    }
+    labels = np.array([1, 0, 1, 0, 1], dtype=np.int64)
+    return params, batch, labels
+
+
+def widened(params, batch, extra):
+    """The model and batch with every channel `extra` pad columns longer."""
+    wide = params.copy()
+    wide.specs = [dataclasses.replace(s, max_len=s.max_len + extra) for s in params.specs]
+    return wide, {name: np.pad(ids, ((0, 0), (0, extra)), constant_values=m.PAD_INDEX)
+                  for name, ids in batch.items()}
+
+
+@pytest.mark.parametrize("extra", [1, 6])
+def test_padding_leaves_outputs_and_gradients_bit_identical(extra):
+    params, batch, labels = ragged_setup()
+    wide, wide_batch = widened(params, batch, extra)
+    assert m.forward(params, batch).tobytes() == m.forward(wide, wide_batch).tobytes()
+    mask = np.random.default_rng(2).random((5, 12)) < 0.7
+    loss, grads = m.gradients(params, batch, labels, 2.0, mask / 0.7)
+    wide_loss, wide_grads = m.gradients(wide, wide_batch, labels, 2.0, mask / 0.7)
+    assert loss == wide_loss
+    assert list(grads) == list(wide_grads)
+    for name in grads:
+        want, got = grads[name], wide_grads[name]
+        if not name.endswith(".embedding"):  # an embedding's is (rows, row_grads)
+            want, got = (want,), (got,)
+        for w, g in zip(want, got, strict=True):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes(), name
+
+
+def test_cached_recurrence_runs_only_to_the_longest_row():
+    params, batch, _ = ragged_setup()
+    wide, wide_batch = widened(params, batch, 10)
+    _, cache = m._forward_cache(wide, wide_batch)
+    for name, longest in (("words", 4), ("classes", 3), ("onto_common", 0)):
+        ids, rev, lengths, X, W, R, gates, c, h = cache["channels"][name]
+        assert lengths.max(initial=0) == longest
+        assert ids.shape[1] == len(gates) == len(c) - 1 == len(h) - 1 == longest, name
 
 
 @pytest.mark.parametrize("rows, chunks", [
@@ -417,6 +479,42 @@ def test_gradients_match_finite_differences_quick():
         numeric = finite_difference_gradients(loss_fn, tensor)
         err = max_relative_error(grads[name], numeric)
         assert err < 1e-4, f"{name}: relative error {err}"
+
+
+def test_gradients_match_finite_differences_on_ragged_rows():
+    # padded rows, an all-padding row, an interior id 0 (a real step that
+    # reads the padding row) and a channel with no step in any row
+    params, batch, labels = ragged_setup()
+    _, grads = m.gradients(params, batch, labels, 2.0)
+    grads = dense_gradients(params, grads)
+
+    def loss_fn():
+        return m.loss(m.forward(params, batch), labels, 2.0)
+
+    for name, tensor in params.tensors.items():
+        numeric = finite_difference_gradients(loss_fn, tensor)
+        err = max_relative_error(grads[name], numeric)
+        assert err < 1e-4, f"{name}: relative error {err}"
+    assert np.abs(grads["words.embedding"][m.PAD_INDEX]).max() > 1e-6
+
+
+def test_channel_empty_in_every_row_trains():
+    # a batch whose every row is padding in one channel runs that channel's
+    # recurrence for zero steps; its state and gradients are zero
+    params, batch, labels = ragged_setup()
+    _, grads = m.gradients(params, batch, labels)
+    rows, row_grads = grads["onto_common.embedding"]
+    assert rows.shape == (0,) and row_grads.shape == (0, 2)
+    for direction in ("fwd", "bwd"):
+        for k in "WRb":
+            assert not grads[f"onto_common.{direction}.{k}"].any()
+    data = dataset_from(batch, labels)
+    best, history = m.train(params.copy(), data, data,
+                            m.TrainConfig(epochs=2, batch_size=2, seed=3))
+    assert len(history) == 2 and all(math.isfinite(r["train_loss"]) for r in history)
+    # no row of the channel's table is read, so only <pad> is reset
+    assert best.tensors["onto_common.embedding"][1:].tobytes() == (
+        params.tensors["onto_common.embedding"][1:].tobytes())
 
 
 def test_gradient_names_cover_all_tensors():
