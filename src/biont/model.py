@@ -667,7 +667,10 @@ def train(
         history.append({"epoch": epoch, "train_loss": train_loss, "dev_f": dev_f})
         if dev_f > best_f:
             best_f = dev_f
-            best_params = params.copy()
+            # Into the one snapshot taken before the loop: a fresh copy per
+            # improving epoch would hold two copies of every tensor at once.
+            for name, tensor in params.tensors.items():
+                np.copyto(best_params.tensors[name], tensor)
     return best_params, history
 
 

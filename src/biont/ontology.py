@@ -10,8 +10,9 @@ All functions are pure; parsers read a stream once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, NamedTuple, TextIO
 
 from .errors import (
@@ -34,29 +35,21 @@ EXPERIMENTAL_CODES = frozenset(
 
 
 @dataclass
-class OntologyConcept:
-    id: str
-    name: str
-    parents: list[str] = field(default_factory=list)
-    alt_ids: list[str] = field(default_factory=list)
-    obsolete: bool = False
-
-
-@dataclass
 class OntologyGraph:
-    """Validated is_a DAG over non-obsolete concepts.
+    """Validated is_a DAG over non-obsolete concepts, as flat per-id tables.
 
-    `depth_map` maps each queryable id to its longest-path distance from a
-    root, and `query_parent_map` maps it to its non-obsolete parents, in
-    file order; both are filled once, by the walk that checks the graph for
-    cycles.  Obsolete concepts stay in `concepts` but have no entry in
-    either table and are rejected by the query operations.  A graph must
-    not be changed after `parse_obo` builds it: `id_prefixes` is computed
-    once and cached.
+    `names` maps every primary id, obsolete ones included, to its name, in
+    file order.  `depth_map` maps each queryable id to its longest-path
+    distance from a root, and `query_parent_map` to its non-obsolete parents
+    in file order.  Every table stores one string per id, the key of `names`.
+    Obsolete ids are only in `names` and `obsolete`; queries reject them.  A
+    graph must not be changed after `parse_obo` builds it: `id_prefixes` is
+    computed once and cached.
     """
 
     namespace: str
-    concepts: dict[str, OntologyConcept]
+    names: dict[str, str]
+    obsolete: frozenset[str]
     roots: set[str]
     depth_map: dict[str, int]
     alt_to_primary: dict[str, str]
@@ -68,11 +61,11 @@ class OntologyGraph:
         Raises UnknownConcept / ObsoleteConcept when the id cannot be queried.
         """
         primary = concept_id
-        if primary not in self.concepts:
+        if primary not in self.names:
             primary = self.alt_to_primary.get(primary, primary)
-        if primary not in self.concepts:
+        if primary not in self.names:
             raise UnknownConcept(f"{concept_id} not in {self.namespace} ontology")
-        if self.concepts[primary].obsolete:
+        if primary in self.obsolete:
             raise ObsoleteConcept(f"{concept_id} is obsolete")
         return primary
 
@@ -89,7 +82,7 @@ class OntologyGraph:
     @cached_property
     def id_prefixes(self) -> frozenset[str]:
         return frozenset(
-            cid.split(":", 1)[0] if ":" in cid else "" for cid in self.concepts
+            cid.split(":", 1)[0] if ":" in cid else "" for cid in self.names
         )
 
 
@@ -98,108 +91,115 @@ def parse_obo(stream: Iterable[str] | TextIO, namespace: str = "custom") -> Onto
 
     Only [Term] stanzas are read, and only the keys id, name, alt_id, is_a
     and is_obsolete; other keys and stanza types are ignored.  is_a values
-    keep the id before any "!" comment.  Obsolete terms are retained but
-    excluded from ancestry queries.
+    keep the id before any "!" comment.  Each stanza goes into the graph's
+    per-id tables when the next header or the end of the file closes it.
+    Obsolete terms are kept in `names` and `obsolete` only.  Checks raise in
+    this order: a stanza with no id or two (MalformedStanza), a duplicate id
+    (DuplicateId), a dangling parent, a cycle, and no live term.
     """
-    stanzas: list[OntologyConcept] = []
-    current: OntologyConcept | None = None
-    for raw in stream:
+    names: dict[str, str] = {}
+    obsolete: set[str] = set()
+    alt_to_primary: dict[str, str] = {}
+    parent_map: dict[str, list[str]] = {}
+    # Each primary id to itself: the one string every table stores for it.
+    own: dict[str, str] = {}
+    duplicate: str | None = None
+    term = None  # the open [Term] stanza: [id, name, is_a values, alt ids, obsolete]
+    for raw in chain(stream, ("[",)):  # the "[" closes the last stanza
         line = raw.strip()
         if line.startswith("["):
-            current = OntologyConcept(id="", name="") if line == "[Term]" else None
-            if current is not None:
-                stanzas.append(current)
+            if term is not None:
+                cid, name, parents, alts, dead = term
+                if not cid:
+                    raise MalformedStanza("[Term] stanza without an id")
+                # The first duplicate raises after the scan, so that a later
+                # stanza without an id still wins.
+                if duplicate is None and (cid in own or cid in alt_to_primary):
+                    duplicate = cid
+                own[cid] = cid
+                names[cid] = name
+                parent_map[cid] = parents
+                if dead:
+                    obsolete.add(cid)
+                for alt in alts:
+                    if duplicate is None and (alt in alt_to_primary or alt in own):
+                        duplicate = alt
+                    alt_to_primary[alt] = cid
+            term = [None, "", [], [], False] if line == "[Term]" else None
             continue
         key, sep, value = line.partition(":")
-        if current is None or not sep:
+        if term is None or not sep:
             continue
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key == "id":
-            current.id = value
+            if term[0] is not None:
+                raise MalformedStanza(f"[Term] stanza with two ids: {term[0]}, {value}")
+            term[0] = value
         elif key == "name":
-            current.name = value
+            term[1] = value
         elif key == "alt_id":
-            current.alt_ids.append(value)
+            term[3].append(value)
         elif key == "is_a":
-            current.parents.append(value.split("!")[0].strip())
+            parent = value.split("!")[0].strip()
+            term[2].append(own.get(parent, parent))
         elif key == "is_obsolete":
-            current.obsolete = value.lower() == "true"
-    # Checked before registration, so a missing id wins over any later error.
-    if any(not concept.id for concept in stanzas):
-        raise MalformedStanza("[Term] stanza without an id")
+            term[4] = value.lower() == "true"
+    if duplicate is not None:
+        raise DuplicateId(duplicate)
 
-    concepts: dict[str, OntologyConcept] = {}
-    alt_to_primary: dict[str, str] = {}
-    for concept in stanzas:
-        if concept.id in concepts or concept.id in alt_to_primary:
-            raise DuplicateId(concept.id)
-        concepts[concept.id] = concept
-        for alt in concept.alt_ids:
-            if alt in alt_to_primary or alt in concepts:
-                raise DuplicateId(alt)
-            alt_to_primary[alt] = concept.id
-
-    # Normalize parent references: alt ids resolve to primaries, and every
-    # parent must exist somewhere in the file.
-    for concept in concepts.values():
-        resolved = []
-        for parent in concept.parents:
-            if parent not in concepts:
-                parent = alt_to_primary.get(parent, parent)
-            if parent not in concepts:
-                raise DanglingParent(f"{concept.id} is_a {parent}")
-            resolved.append(parent)
-        concept.parents = resolved
+    # Point every parent reference, alt ids resolved, at its id's own string.
+    for cid, parents in parent_map.items():
+        for i, parent in enumerate(parents):
+            found = own.get(parent) or alt_to_primary.get(parent)
+            if found is None:
+                raise DanglingParent(f"{cid} is_a {parent}")
+            parents[i] = found
+    del own
 
     # One iterative DFS over child->parent edges of every concept, obsolete
-    # ones included.  A parent still on the stack closes a cycle; a node is
-    # finished after all its parents, so its depth can be set from theirs.
-    query_parent_map: dict[str, list[str]] = {}
+    # ones included.  A node back on top of the stack rescans its parents, all
+    # finished up to the last one pushed.  A parent still on the stack closes
+    # a cycle.  A node finishes after its parents and takes its depth then, so
+    # `depth_map` (obsolete ids too, until the walk ends) marks finished nodes.
     depth_map: dict[str, int] = {}
     on_stack: set[str] = set()
-    finished: set[str] = set()
-    for start in concepts:
-        if start in finished:
+    for start in parent_map:
+        if start in depth_map:
             continue
+        stack = [start]
         on_stack.add(start)
-        stack = [(start, iter(concepts[start].parents))]
         while stack:
-            node, pending = stack[-1]
-            for parent in pending:
-                if parent in finished:
+            node = stack[-1]
+            parents = parent_map[node]
+            for parent in parents:
+                if parent in depth_map:
                     continue
                 if parent in on_stack:
-                    path = [n for n, _ in stack]
-                    raise CycleDetected(path[path.index(parent):])
+                    raise CycleDetected(stack[stack.index(parent):])
                 on_stack.add(parent)
-                stack.append((parent, iter(concepts[parent].parents)))
+                stack.append(parent)
                 break
             else:
                 stack.pop()
                 on_stack.discard(node)
-                finished.add(node)
-                concept = concepts[node]
-                if not concept.obsolete:
-                    ps = [p for p in concept.parents if not concepts[p].obsolete]
-                    # Share the parent list when no edge is dropped, so the
-                    # table holds a second list only for the few that differ.
-                    if len(ps) == len(concept.parents):
-                        ps = concept.parents
-                    query_parent_map[node] = ps
-                    depth_map[node] = 1 + max(depth_map[p] for p in ps) if ps else 0
+                if node not in obsolete and not obsolete.isdisjoint(parents):
+                    parents = parent_map[node] = [p for p in parents if p not in obsolete]
+                depth_map[node] = 1 + max(depth_map[p] for p in parents) if parents else 0
+    for cid in obsolete:
+        del parent_map[cid], depth_map[cid]
 
     # An acyclic query DAG has a root exactly when it has a concept.
-    roots = {cid for cid, ps in query_parent_map.items() if not ps}
+    roots = {cid for cid, parents in parent_map.items() if not parents}
     if not roots:
         raise DataError(f"{namespace} ontology has no non-obsolete term")
     return OntologyGraph(
         namespace=namespace,
-        concepts=concepts,
+        names=names,
+        obsolete=frozenset(obsolete),
         roots=roots,
         depth_map=depth_map,
         alt_to_primary=alt_to_primary,
-        query_parent_map=query_parent_map,
+        query_parent_map=parent_map,
     )
 
 

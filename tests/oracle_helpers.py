@@ -2,14 +2,23 @@
 
 These deliberately use different algorithms from the package: fixed-point
 iteration for the ancestor closure, memoized top-down recursion for depths,
-root-chain splicing for tree paths, central finite differences for
-gradients, and per-row scalar loops for the model's forward pass.
+whole-text stanza dicts and edge relaxation for OBO files, root-chain
+splicing for tree paths, central finite differences for gradients, and
+per-row scalar loops for the model's forward pass.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from biont.errors import (
+    CycleDetected,
+    DanglingParent,
+    DataError,
+    DuplicateId,
+    MalformedStanza,
+)
 
 
 def closure_ancestors(parents: dict[str, list[str]], node: str) -> set[str]:
@@ -68,6 +77,86 @@ def dag_to_obo(ids: list[str], parents: dict[str, list[str]]) -> str:
             lines.append(f"is_a: {parent}")
         lines.append("")
     return "\n".join(lines)
+
+
+def _relaxed_depths(terms: dict[str, dict], parents_key: str) -> dict[str, int]:
+    """Longest upward path of every term, by relaxing every edge until no
+    depth changes; still changing after as many rounds as there are terms
+    means a cycle."""
+    level = {cid: 0 for cid in terms}
+    for _ in range(len(terms) + 1):
+        changed = False
+        for cid, term in terms.items():
+            for parent in term[parents_key]:
+                if level[cid] < level[parent] + 1:
+                    level[cid] = level[parent] + 1
+                    changed = True
+        if not changed:
+            return level
+    raise CycleDetected(cid for cid, depth in level.items() if depth >= len(terms))
+
+
+def reference_parse_obo(text: str, namespace: str = "custom") -> dict:
+    """Naive OBO reading: the tables `ontology.parse_obo` builds, by name.
+
+    Each [Term] stanza becomes a dict of key -> every value given for it,
+    and the term table a dict of dicts.  Depth is the longest path found by
+    repeated relaxation; query parents are a term's parents with the
+    obsolete ones filtered out.  Raises the package's exception types, the
+    checks taken in turn over the whole file: a stanza without exactly one
+    id, a duplicate id or alt id, a dangling parent, a cycle (obsolete terms
+    included), no live term.
+    """
+    stanzas: list[dict[str, list[str]]] = []
+    fields = None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            fields = {} if line == "[Term]" else None
+            if fields is not None:
+                stanzas.append(fields)
+        elif fields is not None and ":" in line:
+            key, value = line.split(":", 1)
+            fields.setdefault(key.strip(), []).append(value.strip())
+    for fields in stanzas:
+        if len(fields.get("id", [])) != 1 or not fields["id"][0]:
+            raise MalformedStanza(fields.get("id"))
+
+    terms: dict[str, dict] = {}
+    alt_to_primary: dict[str, str] = {}
+    for fields in stanzas:
+        cid = fields["id"][0]
+        if cid in terms or cid in alt_to_primary:
+            raise DuplicateId(cid)
+        terms[cid] = {
+            "name": fields.get("name", [""])[-1],
+            "is_a": [value.split("!")[0].strip() for value in fields.get("is_a", [])],
+            "obsolete": fields.get("is_obsolete", ["false"])[-1].lower() == "true",
+        }
+        for alt in fields.get("alt_id", []):
+            if alt in terms or alt in alt_to_primary:
+                raise DuplicateId(alt)
+            alt_to_primary[alt] = cid
+    for cid, term in terms.items():
+        term["is_a"] = [p if p in terms else alt_to_primary.get(p, p) for p in term["is_a"]]
+        for parent in term["is_a"]:
+            if parent not in terms:
+                raise DanglingParent(f"{cid} is_a {parent}")
+    _relaxed_depths(terms, "is_a")
+
+    live = {cid: term for cid, term in terms.items() if not term["obsolete"]}
+    for term in live.values():
+        term["query"] = [p for p in term["is_a"] if not terms[p]["obsolete"]]
+    if not live:
+        raise DataError(f"{namespace} ontology has no non-obsolete term")
+    return {
+        "names": {cid: term["name"] for cid, term in terms.items()},
+        "obsolete": {cid for cid, term in terms.items() if term["obsolete"]},
+        "alt_to_primary": alt_to_primary,
+        "query_parent_map": {cid: term["query"] for cid, term in live.items()},
+        "depth_map": _relaxed_depths(live, "query"),
+        "roots": {cid for cid, term in live.items() if not term["query"]},
+    }
 
 
 def random_tree_heads(rng: np.random.Generator, n_tokens: int) -> dict[int, int]:

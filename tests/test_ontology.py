@@ -21,6 +21,7 @@ from oracle_helpers import (
     dag_to_obo,
     longest_path_to_root,
     random_dag,
+    reference_parse_obo,
 )
 
 
@@ -32,23 +33,23 @@ def parse(text, namespace="custom"):
 
 
 def test_parse_obo_reads_terms_and_names(chebi):
-    assert "CHEBI:24431" in chebi.concepts
-    assert chebi.concepts["CHEBI:10033"].name == "warfarin"
-    assert chebi.concepts["CHEBI:10033"].parents == ["CHEBI:23888", "CHEBI:38147"]
+    assert "CHEBI:24431" in chebi.names
+    assert chebi.names["CHEBI:10033"] == "warfarin"
+    assert chebi.query_parents("CHEBI:10033") == ["CHEBI:23888", "CHEBI:38147"]
     assert chebi.namespace == "chebi"
     assert chebi.roots == {"CHEBI:24431"}
 
 
 def test_parse_obo_strips_is_a_comments():
     graph = parse("[Term]\nid: A:1\nname: r\n\n[Term]\nid: A:2\nis_a: A:1 ! root comment\n")
-    assert graph.concepts["A:2"].parents == ["A:1"]
+    assert graph.query_parents("A:2") == ["A:1"]
 
 
 def test_parse_obo_ignores_non_term_stanzas():
     graph = parse(
         "[Typedef]\nid: part_of\n\n[Term]\nid: A:1\nname: only\n"
     )
-    assert list(graph.concepts) == ["A:1"]
+    assert list(graph.names) == ["A:1"]
 
 
 @pytest.mark.parametrize("text", [
@@ -73,7 +74,7 @@ def test_unknown_concept_raises(chebi):
 
 
 def test_obsolete_concept_rejected_but_retained(chebi):
-    assert "CHEBI:99999" in chebi.concepts
+    assert "CHEBI:99999" in chebi.names
     assert "CHEBI:99999" not in chebi.depth_map
     with pytest.raises(ObsoleteConcept):
         chebi.resolve("CHEBI:99999")
@@ -83,6 +84,13 @@ def test_obsolete_concept_rejected_but_retained(chebi):
 def test_stanza_without_id_raises():
     with pytest.raises(MalformedStanza):
         parse("[Term]\nname: anonymous\n")
+
+
+def test_stanza_with_two_ids_raises_naming_both():
+    # the second id used to replace the first, so a later is_a on the first
+    # was blamed as a dangling parent of another term
+    with pytest.raises(MalformedStanza, match="two ids: A:1, A:2$"):
+        parse("[Term]\nid: A:1\nid: A:2\n\n[Term]\nid: A:3\nis_a: A:1\n")
 
 
 def test_duplicate_primary_id_raises():
@@ -140,7 +148,7 @@ def test_parent_via_alt_id_is_normalized():
     graph = parse(
         "[Term]\nid: A:1\nalt_id: A:9\n\n[Term]\nid: A:2\nis_a: A:9\n"
     )
-    assert graph.concepts["A:2"].parents == ["A:1"]
+    assert graph.query_parents("A:2") == ["A:1"]
 
 
 def test_edges_into_obsolete_terms_leave_query_dag():
@@ -151,6 +159,123 @@ def test_edges_into_obsolete_terms_leave_query_dag():
     )
     assert graph.query_parents("A:3") == ["A:1"]
     assert ontology.depth(graph, "A:3") == 1
+
+
+# Each planted fault and the exception the reference parser raises for it.
+FAULTS = {
+    "missing_id": MalformedStanza,
+    "two_ids": MalformedStanza,
+    "duplicate_id": DuplicateId,
+    "duplicate_alt_id": DuplicateId,
+    "dangling_parent": DanglingParent,
+    "cycle": CycleDetected,
+    "obsolete_cycle": CycleDetected,
+}
+
+
+def random_obo_text(rng, faults=()):
+    """Seeded OBO text over a random DAG, with multi-parent terms, parents
+    named through alt ids, obsolete terms with edges in and out, "!"
+    comments, unknown keys, a [Typedef] stanza, shuffled stanzas, and CRLF
+    line endings on about half the texts.  Each named fault is planted once."""
+    ids, parents = random_dag(rng, int(rng.integers(5, 30)), edge_prob=0.2)
+    alt = {cid: cid.replace("T:", "ALT:") for cid in ids if rng.random() < 0.3}
+    obsolete = {cid for cid in ids[1:] if rng.random() < 0.2}
+    stanzas = [["[Typedef]", "id: part_of", "is_a: T:9999999"]]
+    for cid in ids:
+        lines = ["[Term]", f"id: {cid}"]
+        if rng.random() < 0.8:
+            lines.append(f"name: term {cid}")
+        if cid in alt:
+            lines.append(f"alt_id: {alt[cid]}")
+        if rng.random() < 0.3:
+            lines += [f'synonym: "{cid} variant" EXACT []', "xref: CAS:50-78-2"]
+        for parent in parents[cid]:
+            named = alt[parent] if parent in alt and rng.random() < 0.5 else parent
+            lines.append(f"is_a: {named} ! term {parent}" if rng.random() < 0.5
+                         else f"is_a: {named}")
+        if cid in obsolete:
+            lines.append("is_obsolete: true")
+        elif rng.random() < 0.1:
+            lines.append("is_obsolete: false")
+        stanzas.append(lines)
+    victim = stanzas[1 + int(rng.integers(len(ids)))]
+    if "missing_id" in faults:
+        stanzas.append(["[Term]", "name: anonymous"])
+    if "two_ids" in faults:
+        victim.insert(2, "id: T:8888888")
+    if "duplicate_id" in faults:
+        stanzas.append(["[Term]", f"id: {ids[-1]}"])
+    if "duplicate_alt_id" in faults:
+        stanzas += [["[Term]", "id: D:1", "alt_id: D:9"], ["[Term]", "id: D:2", "alt_id: D:9"]]
+    if "dangling_parent" in faults:
+        victim.append("is_a: T:9999999")
+    if "cycle" in faults:
+        stanzas += [["[Term]", "id: C:1", f"is_a: {ids[0]}", "is_a: C:2"],
+                    ["[Term]", "id: C:2", "is_a: C:1"]]
+    if "obsolete_cycle" in faults:
+        stanzas += [["[Term]", "id: O:1", f"is_a: {ids[0]}", "is_a: O:2"],
+                    ["[Term]", "id: O:2", "is_a: O:1", "is_obsolete: true"]]
+    lines = ["format-version: 1.2", "ontology: test", ""]
+    for i in rng.permutation(len(stanzas)):
+        lines += stanzas[i] + [""]
+    return ("\r\n" if rng.random() < 0.5 else "\n").join(lines)
+
+
+def test_parse_obo_matches_reference_parser_on_seeded_random_texts():
+    rng = np.random.default_rng(20261020)
+    for _ in range(20):
+        text = random_obo_text(rng)
+        want = reference_parse_obo(text)
+        graph = parse(text)
+        assert list(graph.names.items()) == list(want["names"].items())
+        assert graph.obsolete == want["obsolete"]
+        assert graph.alt_to_primary == want["alt_to_primary"]
+        assert list(graph.query_parent_map.items()) == list(want["query_parent_map"].items())
+        assert graph.depth_map == want["depth_map"]
+        assert graph.roots == want["roots"]
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_planted_fault_raises_the_reference_exception(fault):
+    rng = np.random.default_rng([20261020, list(FAULTS).index(fault)])
+    for _ in range(3):
+        text = random_obo_text(rng, faults=(fault,))
+        with pytest.raises(FAULTS[fault]) as want:
+            reference_parse_obo(text)
+        with pytest.raises(DataError) as got:
+            parse(text)
+        assert type(got.value) is type(want.value)
+
+
+def test_planted_faults_together_raise_the_reference_exception():
+    # several faults in one file: the checks must raise in the reference's order
+    rng = np.random.default_rng(20261021)
+    for _ in range(20):
+        faults = [fault for fault in FAULTS if rng.random() < 0.4] or ["cycle"]
+        text = random_obo_text(rng, faults)
+        with pytest.raises(DataError) as want:
+            reference_parse_obo(text)
+        with pytest.raises(DataError) as got:
+            parse(text)
+        assert type(got.value) is type(want.value)
+
+
+def test_parsed_tables_share_one_string_per_id_and_hold_no_per_term_object(chebi):
+    # Every table refers to an id through the one string that keys `names`;
+    # a parse that stores each is_a value as read, or a per-term object,
+    # holds about twice the memory on a ChEBI-sized file and fails here.
+    for graph in (chebi, parse(random_obo_text(np.random.default_rng(7)))):
+        own = {cid: cid for cid in graph.names}
+        refs = [*graph.query_parent_map, *graph.depth_map, *graph.roots, *graph.obsolete,
+                *graph.alt_to_primary.values()]
+        refs += [p for parents in graph.query_parent_map.values() for p in parents]
+        assert all(cid is own[cid] for cid in refs)
+        assert all(type(name) is str for name in graph.names.values())
+        assert all(type(d) is int for d in graph.depth_map.values())
+        assert all(type(parents) is list and all(type(p) is str for p in parents)
+                   for parents in graph.query_parent_map.values())
+    assert not hasattr(ontology, "OntologyConcept")
 
 
 # --- ancestry ----------------------------------------------------------------

@@ -448,6 +448,22 @@ def test_cli_pgr_with_empty_go_ontology_exits_two(fixtures, tmp_path, capsys, ob
     assert "Traceback" not in err
 
 
+def test_cli_obo_stanza_with_two_ids_exits_two(fixtures, tmp_path, capsys):
+    # the second id used to replace the first, and warfarin's is_a on the
+    # first then failed as a dangling parent
+    chebi = tmp_path / "chebi_two_ids.obo"
+    text = (fixtures / "chebi_mini.obo").read_text(encoding="utf-8")
+    chebi.write_text(text.replace("id: CHEBI:38147\n", "id: CHEBI:38147\nid: CHEBI:38148\n"),
+                     encoding="utf-8")
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json",
+                                mutate={"ontologies": {"chebi": str(chebi)}})
+    assert run_cli("preprocess", "--config", str(config),
+                   "--out", str(tmp_path / "x.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "[Term] stanza with two ids: CHEBI:38147, CHEBI:38148" in err
+    assert "Traceback" not in err
+
+
 def test_cli_pgr_row_short_of_mapped_doc_id_exits_two(fixtures, tmp_path, capsys):
     # the doc_id column used to be read by index, so a row that stopped
     # before it ended in an IndexError traceback
