@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     preprocess.add_argument("--out", required=True, help="instances file to write")
     preprocess.add_argument("--report", help="diagnostics TSV (default: <out>.report.tsv)")
 
-    train = sub.add_parser("train", help="instances -> model JSON + history TSV")
+    train = sub.add_parser("train", help="instances -> model file + history TSV")
     train.add_argument("--config", required=True)
     train.add_argument("--in", dest="instances", required=True)
     train.add_argument("--model", required=True, help="model file to write")

@@ -17,9 +17,10 @@ sums.
 
 from __future__ import annotations
 
-import base64
+import binascii
 import copy
 import json
+import math
 from array import array
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, NamedTuple, TextIO
@@ -41,10 +42,10 @@ OOV_INDEX = 1
 PAD_TOKEN = "<pad>"
 OOV_TOKEN = "<oov>"
 
-MODEL_VERSION = "2"
+MODEL_VERSION = "3"
 
 _INIT_SCALE = 0.08
-_BASE64_BLOCK = 3 * 2**16  # bytes of tensor data per base64 piece
+_HEX_BLOCK = 2**16  # bytes of tensor data per hex piece
 _EVAL_ROWS = 256  # most rows per `forward` chunk
 
 
@@ -221,14 +222,18 @@ class Encoder:
         self.vocabs = vocabs
 
     def encode(self, instances: list[Instance]) -> EncodedDataset:
+        """Each channel's matrix is as wide as its longest cut row, which is
+        at most `max_len`: padding past a row's end changes no output, and a
+        huge `max_len` then allocates nothing."""
         n = len(instances)
         ids: dict[str, np.ndarray] = {}
         for spec in self.specs:
             vocab = self.vocabs[spec.name]
             rule = CHANNELS[spec.name].tokens
-            matrix = np.full((n, spec.max_len), PAD_INDEX, dtype=np.int64)
-            for row, instance in enumerate(instances):
-                for col, token in enumerate(rule(instance, spec.max_len)):
+            rows = [rule(instance, spec.max_len) for instance in instances]
+            matrix = np.full((n, max(map(len, rows), default=0)), PAD_INDEX, dtype=np.int64)
+            for row, tokens in enumerate(rows):
+                for col, token in enumerate(tokens):
                     matrix[row, col] = vocab.get(token, OOV_INDEX)
             ids[spec.name] = matrix
         labels = np.array(
@@ -308,9 +313,12 @@ def pretrained_embedding(
     the padding row stays zero."""
     rng = np.random.default_rng(seed)
     matrix = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(len(vocab), vectors.shape[1]))
-    for word, vector in zip(words, vectors):
-        if word in vocab:
-            matrix[vocab[word]] = vector
+    # row -> the last line of its word, since a later line overwrites an
+    # earlier one; words outside the vocabulary collect under None
+    source = dict(zip(map(vocab.get, words), range(len(words))))
+    source.pop(None, None)
+    rows = np.fromiter(source, dtype=np.intp, count=len(source))
+    matrix[rows] = vectors[np.fromiter(source.values(), dtype=np.intp, count=len(source))]
     matrix[PAD_INDEX] = 0.0
     return matrix
 
@@ -463,14 +471,14 @@ def _forward_cache(
         if spec.name not in batch:
             raise ShapeMismatch(f"batch lacks channel {spec.name!r}")
         ids = batch[spec.name]
-        if ids.ndim != 2 or ids.shape[1] != spec.max_len:
+        if ids.ndim != 2 or ids.shape[1] > spec.max_len:
             raise ShapeMismatch(
-                f"{spec.name}: expected (*, {spec.max_len}) ids, got {ids.shape}"
+                f"{spec.name}: expected (*, at most {spec.max_len}) ids, got {ids.shape}"
             )
         if ids.min(initial=0) < 0 or ids.max(initial=0) >= spec.vocab_size:
             raise ShapeMismatch(f"{spec.name}: token index out of range")
         # a row runs to its last non-pad id; an interior pad id is a real step
-        lengths = np.max(np.where(ids != PAD_INDEX, np.arange(1, spec.max_len + 1), 0),
+        lengths = np.max(np.where(ids != PAD_INDEX, np.arange(1, ids.shape[1] + 1), 0),
                          axis=1, initial=0)
         ids = ids[:, :lengths.max(initial=0)]
         steps = np.arange(ids.shape[1])
@@ -694,55 +702,49 @@ def predict(
 def save_model(
     params: ModelParams, vocabs: dict[str, dict[str, int]], out: TextIO
 ) -> None:
-    """JSON model file: {version, specs, vocabularies, tensors}; tensors are
-    {shape, data}, data the base64 of the tensor's little-endian float64
-    bytes in row-major order.
+    """Model file, version 3.  Line 1 is the JSON header {version, specs,
+    vocabularies, tensors}, tensors being the [name, shape] of every tensor
+    in `tensor_shapes` order.  Then each tensor, in that order, has one line:
+    the lowercase hex of its little-endian float64 bytes in row-major order.
 
-    The file is written in pieces, each tensor's data one block of bytes at
-    a time, so no tensor is ever held whole as text.  A block is a whole
-    number of 3-byte groups, so the blocks' base64 concatenates to the
-    tensor's, and the file is the `json.dumps` of the whole payload.
+    Each line is written one block of bytes at a time, so no tensor is ever
+    held whole as text.  JSON escapes every line break the reader splits on,
+    so the header stays one line whatever the vocabularies hold.
     """
-    head = json.dumps(
-        {"version": MODEL_VERSION, "specs": [asdict(s) for s in params.specs],
-         "vocabularies": vocabs},
-        ensure_ascii=False,
-    )
-    out.write(head[:-1] + ', "tensors": {')
-    separator = ""
-    for name, tensor in params.tensors.items():
-        shape = json.dumps(list(tensor.shape))
-        out.write(f'{separator}{json.dumps(name)}: {{"shape": {shape}, "data": "')
+    header = {"version": MODEL_VERSION, "specs": [asdict(s) for s in params.specs],
+              "vocabularies": vocabs,
+              "tensors": [[name, list(t.shape)] for name, t in params.tensors.items()]}
+    out.write(json.dumps(header, ensure_ascii=False) + "\n")
+    for tensor in params.tensors.values():
         raw = np.ascontiguousarray(tensor, dtype="<f8").reshape(-1).view(np.uint8)
-        for start in range(0, len(raw), _BASE64_BLOCK):
-            out.write(base64.b64encode(raw[start:start + _BASE64_BLOCK]).decode("ascii"))
-        out.write('"}')
-        separator = ", "
-    out.write("}}\n")
+        for start in range(0, len(raw), _HEX_BLOCK):
+            out.write(binascii.hexlify(raw[start:start + _HEX_BLOCK]).decode("ascii"))
+        out.write("\n")
 
 
 def load_model(stream: TextIO) -> tuple[ModelParams, dict[str, dict[str, int]]]:
     """Read a model file written by `save_model`.
 
-    Every tensor's data must decode to the shape `init_params` gives it for
-    the file's specs, and every channel's vocabulary must map the spec's
-    size of tokens one to one onto 0..size-1, with <pad> at 0 and <oov> at
-    1; a file that disagrees raises ShapeMismatch, one that is not a model
-    file (including a version-1 file) DataError.
+    Only the header line goes through JSON.  Before any tensor is read, every
+    channel's vocabulary must map the spec's size of tokens one to one onto
+    0..size-1, with <pad> at 0 and <oov> at 1, and the header's tensor list
+    must be `tensor_shapes` of the specs.  A file that disagrees with its
+    specs raises ShapeMismatch, one that is not a version-3 model file
+    DataError; so does text after the last tensor.
     """
     try:
-        payload = json.load(stream)
+        payload = json.loads(stream.readline())
     except json.JSONDecodeError as exc:
-        raise DataError(f"model file is not JSON: {exc}") from exc
+        raise DataError(f"model file header is not JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise DataError("model file is not a JSON object")
+        raise DataError("model file header is not a JSON object")
     version = payload.get("version")
     if version != MODEL_VERSION:
         raise DataError(f"unsupported model version {version!r}")
     raw_specs = payload.get("specs")
-    tensors = payload.get("tensors")
+    listed = payload.get("tensors")
     vocabs = payload.get("vocabularies")
-    if not (isinstance(raw_specs, list) and isinstance(tensors, dict)
+    if not (isinstance(raw_specs, list) and isinstance(listed, list)
             and isinstance(vocabs, dict)):
         raise DataError("model file lacks specs, tensors or vocabularies")
     try:
@@ -773,28 +775,52 @@ def load_model(stream: TextIO) -> tuple[ModelParams, dict[str, dict[str, int]]]:
                 f"{spec.name} vocabulary does not map {PAD_TOKEN} to {PAD_INDEX} "
                 f"and {OOV_TOKEN} to {OOV_INDEX}"
             )
+    tensors = {name: _read_tensor(stream, name, shape)
+               for name, shape in _listed_shapes(specs, listed)}
+    if stream.read(1):
+        raise DataError("model file has text after its last tensor")
+    return ModelParams(specs=specs, tensors=tensors), vocabs
 
-    def read(name: str, shape: tuple[int | None, ...]) -> np.ndarray:
-        # None in `shape` accepts any size along that axis.  The entry is
-        # popped, so its data string is freed once decoded.
-        entry = tensors.pop(name, None)
-        if entry is None:
-            raise ShapeMismatch(f"model file lacks tensor {name!r}")
+
+def _listed_shapes(specs: list[ChannelSpec], listed: list) -> list[tuple[str, tuple[int, ...]]]:
+    """The header's tensor list, checked to be `tensor_shapes` of the specs
+    with the dense width its dense.W gives."""
+    if not all(isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)
+               and all(type(n) is int and n > 0 for n in entry[1]) for entry in listed):
+        raise DataError("model file tensors are not [name, shape] pairs of positive sizes")
+    names = [name for name, _ in listed]
+    expected = [name for name, _ in tensor_shapes(specs, None)]
+    if names != expected:
+        raise ShapeMismatch(f"model file lists tensors {names}, expected {expected}")
+    dense_w = dict(listed)["dense.W"]
+    shapes = tensor_shapes(specs, dense_w[1] if len(dense_w) == 2 else None)
+    for (name, shape), (_, want) in zip(listed, shapes):
+        if tuple(shape) != want:
+            raise ShapeMismatch(f"tensor {name!r} has shape {tuple(shape)}, expected {want}")
+    return shapes
+
+
+def _read_tensor(stream: TextIO, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """The tensor on the stream's next line.  Its hex is read in pieces and
+    decoded into one bytearray, which the array wraps with no copy; reading
+    stops once the bytes pass the shape's count, so a size in the header
+    alone allocates nothing."""
+    size = 8 * math.prod(shape)
+    raw = bytearray()
+    while True:
+        piece = stream.readline(2 * _HEX_BLOCK)
+        ended = piece.endswith("\n")
         try:
-            raw = base64.b64decode(entry["data"], validate=True)
-            array = np.frombuffer(raw, dtype="<f8").reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:  # binascii.Error is a ValueError
+            raw += binascii.unhexlify(piece[:-1] if ended else piece)
+        except ValueError as exc:  # binascii.Error is a ValueError
             raise ShapeMismatch(f"tensor {name!r}: {exc}") from exc
-        if not np.isfinite(array).all():
-            raise ShapeMismatch(f"tensor {name!r} holds a non-finite value")
-        if array.ndim != len(shape) or any(
-            want is not None and got != want for got, want in zip(array.shape, shape)
-        ):
-            raise ShapeMismatch(f"tensor {name!r} has shape {array.shape}, expected {shape}")
-        # frombuffer's view is read-only, and `train` updates tensors in place
-        return array.astype(np.float64)
-
-    dense_w = read("dense.W", dict(tensor_shapes(specs, None))["dense.W"])
-    loaded = {name: dense_w if name == "dense.W" else read(name, shape)
-              for name, shape in tensor_shapes(specs, dense_w.shape[1])}
-    return ModelParams(specs=specs, tensors=loaded), vocabs
+        if len(raw) > size:
+            raise ShapeMismatch(f"tensor {name!r} has more than the expected {size} bytes")
+        if ended or not piece:
+            break
+    if len(raw) != size:
+        raise ShapeMismatch(f"tensor {name!r} has {len(raw)} bytes, expected {size}")
+    array = np.frombuffer(raw, dtype="<f8").reshape(shape)  # writable: raw is a bytearray
+    if not np.isfinite(array).all():
+        raise ShapeMismatch(f"tensor {name!r} holds a non-finite value")
+    return array

@@ -145,7 +145,7 @@ def cmd_train(
     model_path: str | Path,
     history_path: str | Path | None = None,
 ) -> tuple[ModelParams, list[dict]]:
-    """Train on a preprocessed instances file; writes model JSON + history TSV."""
+    """Train on a preprocessed instances file; writes the model file + history TSV."""
     model_path = Path(model_path)
     history_file = Path(history_path) if history_path else model_path.with_suffix(".history.tsv")
     with open(instances_path, encoding="utf-8") as handle:

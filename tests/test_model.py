@@ -153,9 +153,9 @@ def test_encoder_pads_and_marks_oov():
         [instance, make_instance(iid="i1", sdp=["novel", "binds"])]
     )
     matrix = encoded.ids["words"]
-    assert matrix.shape == (2, 5)
-    assert matrix[0].tolist() == [2, 3, 4, 0, 0]
-    assert matrix[1].tolist() == [1, 3, 0, 0, 0]  # "novel" -> oov
+    assert matrix.shape == (2, 3)  # as wide as the longest row, not max_len
+    assert matrix[0].tolist() == [2, 3, 4]
+    assert matrix[1].tolist() == [1, 3, 0]  # "novel" -> oov
     assert encoded.labels.tolist() == [1, 1]
 
 
@@ -216,6 +216,20 @@ def test_word_vectors_duplicate_word_keeps_first_position_and_last_vector():
     matrix = m.pretrained_embedding(words, vectors, vocab, seed=1)
     assert matrix[vocab["a"]].tolist() == [3.0, 3.0]
     assert matrix[vocab["b"]].tolist() == [2.0, 2.0]
+
+
+def test_pretrained_embedding_matches_row_loop():
+    # the loop it replaced is the reference: repeated words, unknown words
+    rng = np.random.default_rng(3)
+    words = [f"w{k}" for k in rng.integers(0, 40, size=60)]
+    vectors = rng.normal(size=(60, 4))
+    vocab = {"<pad>": 0, "<oov>": 1, **{f"w{k}": 2 + k // 2 for k in range(0, 40, 2)}}
+    want = np.random.default_rng(9).uniform(-0.08, 0.08, size=(len(vocab), 4))
+    for word, vector in zip(words, vectors):
+        if word in vocab:
+            want[vocab[word]] = vector
+    want[0] = 0.0
+    assert m.pretrained_embedding(words, vectors, vocab, seed=9).tobytes() == want.tobytes()
 
 
 def test_load_word_vectors_header_dim_mismatch_raises():
@@ -437,9 +451,16 @@ def test_forward_keeps_no_cache_and_flat_memory():
 
 def test_forward_rejects_wrong_width():
     params, batch, _ = tiny_setup()
-    batch["words"] = batch["words"][:, :2]
-    with pytest.raises(ShapeMismatch):
+    batch["words"] = np.pad(batch["words"], ((0, 0), (0, 1)))
+    with pytest.raises(ShapeMismatch, match="at most 4"):
         m.forward(params, batch)
+
+
+def test_forward_takes_ids_narrower_than_max_len():
+    # padding past a row's end changes no output, so ids may stop before max_len
+    params, batch, _ = tiny_setup()
+    narrow = {name: ids[:, :3] for name, ids in batch.items()}
+    assert m.forward(params, narrow).tobytes() == m.forward(params, batch).tobytes()
 
 
 def test_forward_rejects_out_of_range_index():
@@ -738,15 +759,41 @@ def vocab_stub(params):
     }
 
 
-def b64(values):
-    """Tensor data as the model file stores it: base64 of little-endian float64."""
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def hexdata(values):
+    """Tensor data as the model file stores it: hex of little-endian float64."""
+    return np.asarray(values, dtype="<f8").tobytes().hex()
+
+
+def read_payload(text):
+    """A model file as one dict: the header's keys, with "tensors" mapping
+    each name to {"shape", "data"}, data being the tensor's hex line."""
+    header, *bodies = text.split("\n")
+    payload = json.loads(header)
+    payload["tensors"] = {name: {"shape": shape, "data": data}
+                          for (name, shape), data in zip(payload["tensors"], bodies)}
+    return payload
+
+
+def model_file(payload):
+    """`payload`, in `read_payload`'s form, rendered as a model file: the
+    header line, whose "tensors" lists each [name, shape], then each
+    tensor's data on its own line (JSON text for a data that is not a str)."""
+    tensors = payload.get("tensors", {})
+    header = {key: [[name, t["shape"]] for name, t in tensors.items()] if key == "tensors"
+              else value for key, value in payload.items()}
+    bodies = [t["data"] if isinstance(t["data"], str) else json.dumps(t["data"])
+              for t in tensors.values()]
+    return "\n".join([json.dumps(header), *bodies]) + "\n"
 
 
 def saved_payload(params):
     buffer = io.StringIO()
     m.save_model(params, vocab_stub(params), buffer)
-    return json.loads(buffer.getvalue())
+    return read_payload(buffer.getvalue())
+
+
+def load_payload(payload):
+    return m.load_model(io.StringIO(model_file(payload)))
 
 
 def test_save_load_round_trip_is_bit_identical():
@@ -756,9 +803,13 @@ def test_save_load_round_trip_is_bit_identical():
     vocabs = vocab_stub(params)
     buffer = io.StringIO()
     m.save_model(params, vocabs, buffer)
-    # the streamed file is the plain json.dumps of its payload
-    text = buffer.getvalue()
-    assert text == json.dumps(json.loads(text), ensure_ascii=False) + "\n"
+    # a one-line JSON header, then each tensor's hex on its own line
+    header, *bodies, end = buffer.getvalue().split("\n")
+    assert header == json.dumps(json.loads(header), ensure_ascii=False)
+    assert json.loads(header)["tensors"] == [[name, list(t.shape)]
+                                             for name, t in params.tensors.items()]
+    assert bodies == [hexdata(t.ravel()) for t in params.tensors.values()]
+    assert end == ""
     buffer.seek(0)
     loaded, loaded_vocabs = m.load_model(buffer)
     assert loaded_vocabs == vocabs
@@ -814,20 +865,40 @@ def test_save_model_peak_memory_stays_below_the_embedding(tmp_path):
         finally:
             tracemalloc.stop()
     assert peak < embedding.nbytes
-    # the embedding spans many blocks; their base64 pieces must join up
+    # the embedding spans many blocks; their hex pieces must join up
     with open(tmp_path / "model.json", encoding="utf-8") as handle:
         loaded, _ = m.load_model(handle)
     assert loaded.tensors["words.embedding"].tobytes() == embedding.tobytes()
+
+
+def test_load_model_peak_memory_stays_below_twice_the_embedding(tmp_path):
+    # no whole-file text, no data string and no copy of the decoded bytes:
+    # the peak is about the tensors plus the parsed vocabulary
+    specs = [m.ChannelSpec("words", vocab_size=50_000, embed_dim=32, hidden_dim=2, max_len=4)]
+    params = m.init_params(specs, dense_dim=3, seed=1)
+    embedding = params.tensors["words.embedding"]
+    with open(tmp_path / "model.json", "w", encoding="utf-8", newline="\n") as out:
+        m.save_model(params, vocab_stub(params), out)
+    with open(tmp_path / "model.json", encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            loaded, _ = m.load_model(handle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * embedding.nbytes
+    assert loaded.tensors["words.embedding"].tobytes() == embedding.tobytes()
+    assert loaded.tensors["words.embedding"].flags.writeable  # train updates in place
 
 
 def test_load_model_rejects_unknown_version():
     params, _, _ = tiny_setup()
     buffer = io.StringIO()
     m.save_model(params, vocab_stub(params), buffer)
-    payload = json.loads(buffer.getvalue())
+    payload = read_payload(buffer.getvalue())
     payload["version"] = "999"
     with pytest.raises(DataError):
-        m.load_model(io.StringIO(json.dumps(payload)))
+        load_payload(payload)
 
 
 def test_load_model_refuses_version_one_file():
@@ -838,7 +909,22 @@ def test_load_model_refuses_version_one_file():
     for name, tensor in params.tensors.items():
         payload["tensors"][name]["data"] = tensor.ravel().tolist()
     with pytest.raises(DataError, match="unsupported model version '1'"):
-        m.load_model(io.StringIO(json.dumps(payload)))
+        load_payload(payload)
+
+
+def version_two_text(payload):
+    """The version-2 file of a `read_payload` dict: one JSON object whose
+    tensors hold their shape and the base64 of their bytes."""
+    tensors = {name: {"shape": t["shape"],
+                      "data": base64.b64encode(bytes.fromhex(t["data"])).decode("ascii")}
+               for name, t in payload["tensors"].items()}
+    return json.dumps({**payload, "version": "2", "tensors": tensors})
+
+
+def test_load_model_refuses_version_two_file():
+    params, _, _ = tiny_setup()
+    with pytest.raises(DataError, match="unsupported model version '2'"):
+        m.load_model(io.StringIO(version_two_text(saved_payload(params))))
 
 
 @pytest.mark.parametrize("name", [
@@ -851,7 +937,7 @@ def test_load_model_rejects_transposed_tensor(name):
     payload = saved_payload(params)
     payload["tensors"][name]["shape"].reverse()
     with pytest.raises(ShapeMismatch, match=name):
-        m.load_model(io.StringIO(json.dumps(payload)))
+        load_payload(payload)
 
 
 @pytest.mark.parametrize("name, shape", [
@@ -860,26 +946,31 @@ def test_load_model_rejects_transposed_tensor(name):
 def test_load_model_rejects_resized_bias(name, shape):
     params, _, _ = tiny_setup()
     payload = saved_payload(params)
-    payload["tensors"][name] = {"shape": shape, "data": b64(np.zeros(shape))}
+    payload["tensors"][name] = {"shape": shape, "data": hexdata(np.zeros(shape))}
     with pytest.raises(ShapeMismatch, match=rf"{name}' has shape \({shape[0]},\)"):
-        m.load_model(io.StringIO(json.dumps(payload)))
+        load_payload(payload)
 
 
 @pytest.mark.parametrize("data, reason", [
-    (b64([math.inf, 0.0]), "non-finite"),
-    (b64([math.nan, 0.0]), "non-finite"),
-    ([[0.1], [0.2]], "not 'list'"),
-    ([0.1, 0.2], "not 'list'"),
-    (b64([0.1, 0.2])[:4] + "*" + b64([0.1, 0.2])[4:], "Only base64 data"),
-    (base64.b64encode(bytes(12)).decode("ascii"), "multiple of element size"),
-], ids=["overflow", "nan", "nested", "list", "non-alphabet", "ragged"])
+    (hexdata([math.inf, 0.0]), "non-finite"),
+    (hexdata([math.nan, 0.0]), "non-finite"),
+    ([[0.1], [0.2]], "Non-hexadecimal digit"),
+    ([0.1, 0.2], "Non-hexadecimal digit"),
+    (hexdata([0.1, 0.2])[:4] + "*" + hexdata([0.1, 0.2])[5:], "Non-hexadecimal digit"),
+    (bytes(12).hex(), "has 12 bytes, expected 16"),
+    (hexdata([0.1, 0.2]) + "0", "Odd-length string"),
+    (hexdata([0.1, 0.2])[:-1] + "g", "Non-hexadecimal digit"),
+    (hexdata([0.1])[:8] + "  " + hexdata([0.1])[8:] + hexdata([0.2]), "Non-hexadecimal digit"),
+    ("", "has 0 bytes, expected 16"),
+], ids=["overflow", "nan", "nested", "list", "non-alphabet", "ragged", "odd-digits",
+        "non-hex", "spaced", "empty"])
 def test_load_model_rejects_bad_tensor_data(data, reason):
-    # a nested or flat list has the right element count but is not base64
+    # a nested or flat list has the right element count but is not hex
     params, _, _ = tiny_setup()
     payload = saved_payload(params)
     payload["tensors"]["out.b"]["data"] = data
     with pytest.raises(ShapeMismatch, match=rf"out\.b.*{reason}"):
-        m.load_model(io.StringIO(json.dumps(payload)))
+        load_payload(payload)
 
 
 @pytest.mark.parametrize("entries", [
@@ -892,15 +983,15 @@ def test_load_model_rejects_vocabulary_that_disagrees_with_spec(entries):
     payload = saved_payload(params)
     payload["vocabularies"]["classes"].update(entries)
     with pytest.raises(ShapeMismatch, match="classes vocabulary"):
-        m.load_model(io.StringIO(json.dumps(payload)))
+        load_payload(payload)
 
 
 def edited_model_text(edit):
-    """A saved tiny model with `edit` applied to its payload, as JSON text."""
+    """A saved tiny model with `edit` applied to its payload, as a model file."""
     params, _, _ = tiny_setup()
     payload = saved_payload(params)
     edit(payload)
-    return json.dumps(payload)
+    return model_file(payload)
 
 
 def name_words_as_list(payload):
@@ -924,8 +1015,8 @@ def repeat_words_channel(payload):
 @pytest.mark.parametrize("text", [
     '{"version": ',
     "[]",
-    json.dumps({"version": m.MODEL_VERSION}),
-    json.dumps({"version": m.MODEL_VERSION, "specs": [{"name": "words"}],
+    model_file({"version": m.MODEL_VERSION}),
+    model_file({"version": m.MODEL_VERSION, "specs": [{"name": "words"}],
                 "tensors": {}, "vocabularies": {}}),
     edited_model_text(name_words_as_list),
     edited_model_text(drop_every_channel),
@@ -946,7 +1037,7 @@ def test_load_model_rejects_unknown_channel():
         if key.startswith("classes."):
             payload["tensors"]["chars" + key[len("classes"):]] = payload["tensors"].pop(key)
     with pytest.raises(DataError, match="chars"):
-        m.load_model(io.StringIO(json.dumps(payload)))
+        load_payload(payload)
 
 
 def test_load_model_rejects_tampered_shape():
@@ -954,7 +1045,97 @@ def test_load_model_rejects_tampered_shape():
     params, _, _ = tiny_setup()
     buffer = io.StringIO()
     m.save_model(params, vocab_stub(params), buffer)
-    payload = json.loads(buffer.getvalue())
-    payload["tensors"]["out.b"]["data"] = b64([*params.tensors["out.b"], 0.0])
-    with pytest.raises(ShapeMismatch, match=r"out\.b.*cannot reshape array of size 3"):
-        m.load_model(io.StringIO(json.dumps(payload)))
+    payload = read_payload(buffer.getvalue())
+    payload["tensors"]["out.b"]["data"] = hexdata([*params.tensors["out.b"], 0.0])
+    with pytest.raises(ShapeMismatch, match=r"out\.b.*more than the expected 16 bytes"):
+        load_payload(payload)
+
+
+def test_load_model_stops_reading_a_body_once_it_passes_its_shape(monkeypatch):
+    # a body far longer than its shape is read one piece past it, no further
+    monkeypatch.setattr(m, "_HEX_BLOCK", 8)
+    params, _, _ = tiny_setup()
+    payload = saved_payload(params)
+    embedding = params.tensors["words.embedding"]
+    payload["tensors"]["words.embedding"]["data"] = hexdata(np.zeros(embedding.size + 1000))
+    stream = io.StringIO(model_file(payload))
+    with pytest.raises(ShapeMismatch, match=r"words\.embedding.*more than the expected 144"):
+        m.load_model(stream)
+    header = len(stream.getvalue().split("\n", 1)[0]) + 1
+    assert stream.tell() <= header + 2 * embedding.nbytes + 2 * 8
+
+
+@pytest.mark.parametrize("missing, reason", [
+    ("words.fwd.R", r"words\.fwd\.R' has 64 bytes, expected 128"),
+    ("out.b", r"out\.b' has 0 bytes, expected 16"),
+])
+def test_load_model_rejects_missing_body_line(missing, reason):
+    # the header still lists the tensor, so each later tensor reads the next line
+    params, _, _ = tiny_setup()
+    lines = model_file(saved_payload(params)).split("\n")
+    del lines[1 + list(params.tensors).index(missing)]
+    with pytest.raises(ShapeMismatch, match=reason):
+        m.load_model(io.StringIO("\n".join(lines)))
+
+
+@pytest.mark.parametrize("extra", ["\n", "x", "\n0000"])
+def test_load_model_rejects_text_after_the_last_body(extra):
+    params, _, _ = tiny_setup()
+    with pytest.raises(DataError, match="text after its last tensor"):
+        m.load_model(io.StringIO(model_file(saved_payload(params)) + extra))
+
+
+def reorder_tensors(tensors):
+    names = list(tensors)
+    names[1], names[2] = names[2], names[1]
+    return {name: tensors[name] for name in names}
+
+
+def drop_tensor(tensors):
+    return {name: t for name, t in tensors.items() if name != "classes.bwd.b"}
+
+
+def add_tensor(tensors):
+    return {**tensors, "extra.b": {"shape": [2], "data": hexdata([0.0, 0.0])}}
+
+
+@pytest.mark.parametrize("edit", [reorder_tensors, drop_tensor, add_tensor],
+                         ids=["reordered", "missing", "added"])
+def test_load_model_rejects_header_tensor_list_that_is_not_the_specs(edit):
+    params, _, _ = tiny_setup()
+    payload = saved_payload(params)
+    payload["tensors"] = edit(payload["tensors"])
+    with pytest.raises(ShapeMismatch, match="model file lists tensors"):
+        load_payload(payload)
+
+
+@pytest.mark.parametrize("entry", [["out.b"], ["out.b", 2], ["out.b", [0]],
+                                   ["out.b", [2.0]], ["out.b", [True, 1]]])
+def test_load_model_rejects_malformed_header_tensor_entry(entry):
+    params, _, _ = tiny_setup()
+    header, rest = model_file(saved_payload(params)).split("\n", 1)
+    listed = json.loads(header)
+    listed["tensors"][-1] = entry
+    with pytest.raises(DataError, match="not \\[name, shape\\] pairs"):
+        m.load_model(io.StringIO(json.dumps(listed) + "\n" + rest))
+
+
+def test_round_trip_keeps_line_breaks_in_vocabulary_inside_one_header_line(tmp_path):
+    params, _, _ = tiny_setup()
+    tokens = ["\n", "\r", "\u2028", '"']
+    vocabs = vocab_stub(params)
+    vocabs["words"] = {m.PAD_TOKEN: 0, m.OOV_TOKEN: 1,
+                       **{token: k for k, token in enumerate(tokens, start=2)}}
+    path = tmp_path / "model.json"
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        m.save_model(params, vocabs, out)
+    text = path.read_text(encoding="utf-8")
+    assert "\r" not in text
+    header, *bodies, end = text.split("\n")
+    assert json.loads(header)["vocabularies"] == vocabs
+    assert len(bodies) == len(params.tensors) and end == ""
+    with open(path, encoding="utf-8") as handle:  # universal newlines, as the CLI reads
+        loaded, loaded_vocabs = m.load_model(handle)
+    assert loaded_vocabs == vocabs
+    for name, tensor in params.tensors.items():
+        assert loaded.tensors[name].tobytes() == tensor.tobytes(), name

@@ -1,6 +1,10 @@
 """Run configuration, dataset splitting, pipeline commands, CLI exit codes."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +16,14 @@ from biont.errors import ConfigError, DataError
 from biont.instances import Instance, load_instances
 from biont.model import forward
 from test_model import (
-    b64,
     drop_every_channel,
+    hexdata,
     make_instance,
+    model_file,
     name_words_as_list,
+    read_payload,
     repeat_words_channel,
+    version_two_text,
 )
 
 PATH_KEYS = ("corpus_path", "lexicon", "parses", "vectors", "gaf")
@@ -238,8 +245,8 @@ def test_train_writes_model_and_history(fixtures, tmp_path):
     lines = (tmp_path / "model.history.tsv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "epoch\ttrain_loss\tdev_f"
     assert len(lines) == config.train.epochs + 1
-    payload = json.loads(model_path.read_text(encoding="utf-8"))
-    assert payload["version"] == "2"
+    payload = json.loads(model_path.read_text(encoding="utf-8").split("\n", 1)[0])
+    assert payload["version"] == "3"
     assert [s["name"] for s in payload["specs"]] == [
         "words", "classes", "onto_concat", "onto_common",
     ]
@@ -259,7 +266,7 @@ def test_train_vector_header_after_blank_line_is_not_a_word(fixtures, tmp_path):
     pipeline.cmd_preprocess(config, instances_path)
     model_path = tmp_path / "model.json"
     pipeline.cmd_train(config, instances_path, model_path)
-    words = json.loads(model_path.read_text(encoding="utf-8"))["vocabularies"]["words"]
+    words = read_payload(model_path.read_text(encoding="utf-8"))["vocabularies"]["words"]
     assert "2" not in words
     assert list(words)[-2:] == ["foo", "bar"]
 
@@ -331,7 +338,8 @@ def test_forward_is_invariant_to_batch_partition(fixtures, tmp_path):
     encoded = encoder.encode(instances).ids
     rng = np.random.default_rng(5)
     batch = {spec.name: np.concatenate([
-        encoded[spec.name], rng.integers(0, spec.vocab_size, size=(9, spec.max_len))])
+        np.pad(encoded[spec.name], ((0, 0), (0, spec.max_len - encoded[spec.name].shape[1]))),
+        rng.integers(0, spec.vocab_size, size=(9, spec.max_len))])
         for spec in params.specs}
     whole = forward(params, batch)
     chunks = [forward(params, {name: ids[part] for name, ids in batch.items()})
@@ -535,9 +543,9 @@ def test_cli_evaluate_nan_threshold_exits_one(fixtures, tmp_path, capsys):
 def test_cli_model_with_swapped_tensor_shape_exits_two(fixtures, tmp_path, capsys):
     assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
     model = tmp_path / "model.json"
-    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload = read_payload(model.read_text(encoding="utf-8"))
     payload["tensors"]["words.fwd.R"]["shape"].reverse()
-    model.write_text(json.dumps(payload), encoding="utf-8")
+    model.write_text(model_file(payload), encoding="utf-8")
     capsys.readouterr()
     assert run_cli("predict", "--model", str(model), "--in",
                    str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
@@ -551,9 +559,9 @@ def test_cli_model_with_swapped_tensor_shape_exits_two(fixtures, tmp_path, capsy
 def test_cli_model_with_bad_channel_list_exits_two(fixtures, tmp_path, capsys, edit):
     assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
     model = tmp_path / "model.json"
-    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload = read_payload(model.read_text(encoding="utf-8"))
     edit(payload)
-    model.write_text(json.dumps(payload), encoding="utf-8")
+    model.write_text(model_file(payload), encoding="utf-8")
     capsys.readouterr()
     assert run_cli("predict", "--model", str(model), "--in",
                    str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
@@ -566,10 +574,10 @@ def test_cli_model_with_token_at_pad_index_exits_two(fixtures, tmp_path, capsys)
     # a real token at index 0 would read as padding
     assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
     model = tmp_path / "model.json"
-    payload = json.loads(model.read_text(encoding="utf-8"))
+    payload = read_payload(model.read_text(encoding="utf-8"))
     words = payload["vocabularies"]["words"]
     words[list(words)[-1]] = 0
-    model.write_text(json.dumps(payload), encoding="utf-8")
+    model.write_text(model_file(payload), encoding="utf-8")
     capsys.readouterr()
     assert run_cli("predict", "--model", str(model), "--in",
                    str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
@@ -672,9 +680,9 @@ def test_cli_wrong_typed_config_value_exits_one(fixtures, tmp_path, capsys, muta
 def test_cli_model_with_non_finite_value_exits_two(fixtures, tmp_path, capsys):
     assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
     model = tmp_path / "model.json"
-    payload = json.loads(model.read_text(encoding="utf-8"))
-    payload["tensors"]["out.b"]["data"] = b64([math.inf, 0.0])
-    model.write_text(json.dumps(payload), encoding="utf-8")
+    payload = read_payload(model.read_text(encoding="utf-8"))
+    payload["tensors"]["out.b"]["data"] = hexdata([math.inf, 0.0])
+    model.write_text(model_file(payload), encoding="utf-8")
     capsys.readouterr()
     assert run_cli("predict", "--model", str(model), "--in",
                    str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
@@ -712,3 +720,62 @@ def test_cli_two_runs_are_byte_identical(fixtures, tmp_path):
     for name in ("instances.jsonl", "instances.report.tsv", "model.json",
                  "model.history.tsv", "metrics.tsv", "preds.jsonl"):
         assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+
+def test_cli_model_file_version_two_exits_two(fixtures, tmp_path, capsys):
+    # no second reader: a version-2 file must be trained again
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    model = tmp_path / "model.json"
+    model.write_text(version_two_text(read_payload(model.read_text(encoding="utf-8"))),
+                     encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("predict", "--model", str(model), "--in",
+                   str(tmp_path / "instances.jsonl"), "--out", str(tmp_path / "p.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "unsupported model version '2'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_predict_with_huge_max_len_in_model_exits_zero(fixtures, tmp_path, capsys):
+    # each encoded matrix is as wide as its longest row, not max_len, so a
+    # huge max_len allocates nothing; no row here is cut at the trained length
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    model = tmp_path / "model.json"
+    payload = read_payload(model.read_text(encoding="utf-8"))
+    payload["specs"][0]["max_len"] = 10**12
+    model.write_text(model_file(payload), encoding="utf-8")
+    capsys.readouterr()
+    preds = tmp_path / "huge.jsonl"
+    assert run_cli("predict", "--model", str(model), "--in",
+                   str(tmp_path / "instances.jsonl"), "--out", str(preds)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert preds.read_bytes() == (tmp_path / "preds.jsonl").read_bytes()
+
+
+def test_cli_train_with_huge_max_sdp_len_exits_zero(fixtures, tmp_path, capsys):
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json")
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["train"]["max_sdp_len"] = 10**12
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    instances, model = tmp_path / "instances.jsonl", tmp_path / "model.json"
+    assert run_cli("preprocess", "--config", str(config), "--out", str(instances)) == 0
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(config), "--in", str(instances),
+                   "--model", str(model)) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    specs = json.loads(model.read_text(encoding="utf-8").split("\n", 1)[0])["specs"]
+    assert specs[0]["max_len"] == 10**12
+
+
+def test_python_m_biont_predicts_in_a_fresh_process(fixtures, tmp_path):
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    preds = tmp_path / "fresh.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "biont", "predict", "--model", str(tmp_path / "model.json"),
+         "--in", str(tmp_path / "instances.jsonl"), "--out", str(preds)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert preds.read_bytes() == (tmp_path / "preds.jsonl").read_bytes()
