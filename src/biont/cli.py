@@ -6,7 +6,8 @@
     biont predict    --model model.json --in instances.jsonl --out preds.jsonl
 
 Exit codes: 0 success, 1 validation/usage error, 2 data error (including a
-data file that is missing, cannot be opened or written, or is not UTF-8).
+data file that is missing, cannot be opened or written, or is not UTF-8,
+and an array the config or model sizes that cannot be allocated).
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, OSError, UnicodeDecodeError) as exc:
+    except (DataError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -13,10 +13,11 @@ from pathlib import Path
 
 from .corpus import DEFAULT_TRUTHY_TOKENS, PGR_REQUIRED_KEYS
 from .errors import ConfigError
+from .instances import CORPUS_PAIR_TYPES, TYPE_NAMESPACE
 from .model import CHANNELS, ModelDims, TrainConfig
 
-CORPORA = ("ddi", "pgr", "cdr")
-ONTOLOGY_NAMESPACES = ("go", "hp", "doid", "chebi")
+CORPORA = tuple(CORPUS_PAIR_TYPES)
+ONTOLOGY_NAMESPACES = frozenset(TYPE_NAMESPACE.values())
 
 @dataclass
 class RunConfig:
@@ -143,14 +144,16 @@ def load_config(config_path: str | Path) -> RunConfig:
         raise ConfigError("seed must be an integer")
 
     # by default every channel, but onto_common only for same-type pairs
+    first_type, second_type = CORPUS_PAIR_TYPES[corpus]
+    same_type = first_type == second_type
     channels_raw = _object(payload, "channels") or {
-        name: name != "onto_common" or corpus == "ddi" for name in CHANNELS
+        name: name != "onto_common" or same_type for name in CHANNELS
     }
     _reject_unknown(channels_raw, set(CHANNELS), "channels")
     channels = {name: bool(channels_raw.get(name, False)) for name in CHANNELS}
     if not any(channels.values()):
         raise ConfigError("at least one channel must be enabled")
-    if channels["onto_common"] and corpus != "ddi":
+    if channels["onto_common"] and not same_type:
         raise ConfigError(
             "onto_common channel requires a same-type pair corpus (ddi)"
         )

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from . import ontology
@@ -243,28 +243,6 @@ def shortest_dependency_path(
     return [by_index[i] for i in reversed(path)]
 
 
-def mask_tokens(
-    path: list[ParsedToken],
-    candidate_heads: tuple[int, int],
-    other_mentions: Iterable[EntityMention],
-) -> list[str]:
-    """Lowercased path forms with the pair's head tokens replaced by
-    candidate1/candidate2 and tokens inside any other mention by entity."""
-    head1, head2 = candidate_heads
-    others = list(other_mentions)
-    masked = []
-    for t in path:
-        if t.index == head1:
-            masked.append(MASK_CANDIDATE_1)
-        elif t.index == head2:
-            masked.append(MASK_CANDIDATE_2)
-        elif any(_overlaps(t, m) for m in others):
-            masked.append(MASK_ENTITY)
-        else:
-            masked.append(t.form.lower())
-    return masked
-
-
 # --- supersense lexicon -----------------------------------------------------
 
 
@@ -307,20 +285,28 @@ def load_lexicon(stream: Iterable[str] | TextIO) -> SupersenseLexicon:
     return SupersenseLexicon(classes, entries)
 
 
-def supersense_classes(
+def path_sequences(
     path: list[ParsedToken],
-    masked_forms: list[str],
+    candidate_heads: tuple[int, int],
+    other_mentions: Iterable[EntityMention],
     lexicon: SupersenseLexicon,
-) -> list[str]:
-    """One class per path token; masked tokens and lexicon misses map to O."""
-    masks = {MASK_CANDIDATE_1, MASK_CANDIDATE_2, MASK_ENTITY}
-    classes = []
-    for token, form in zip(path, masked_forms):
-        if form in masks:
-            classes.append(DEFAULT_CLASS)
-        else:
-            classes.append(lexicon.lookup(token.lemma))
-    return classes
+) -> tuple[list[str], list[str]]:
+    """The words and classes sequences of a path, one entry per token.
+
+    The pair's head tokens become candidate1/candidate2 and tokens inside
+    any other mention become entity; each masked token gets class O.  Every
+    other token keeps its lowercased form and its lemma's lexicon class.
+    """
+    heads = dict(zip(candidate_heads, (MASK_CANDIDATE_1, MASK_CANDIDATE_2)))
+    others = list(other_mentions)
+    forms, classes = [], []
+    for t in path:
+        mask = heads.get(t.index)
+        if mask is None and any(_overlaps(t, m) for m in others):
+            mask = MASK_ENTITY
+        forms.append(mask or t.form.lower())
+        classes.append(DEFAULT_CLASS if mask else lexicon.lookup(t.lemma))
+    return forms, classes
 
 
 # --- entity -> concept resolution -------------------------------------------
@@ -391,6 +377,14 @@ class EntityResolver:
 # --- instance assembly ------------------------------------------------------
 
 
+# Skip-reason error -> the diagnostics reason it is counted under.
+_SKIP_REASONS = {
+    UnmappableEntity: "unmappable_entity",
+    Disconnected: "disconnected",
+    NoOverlappingToken: "no_overlapping_token",
+}
+
+
 def build_instance(
     sentence: SentenceRecord,
     pair: tuple[EntityMention, EntityMention],
@@ -402,11 +396,12 @@ def build_instance(
 ) -> Instance:
     """Assemble one instance for a candidate mention pair.
 
-    The first mention by sentence offset is candidate1 and contributes the
-    left chain.  Raises the skip-reason errors (UnmappableEntity,
-    Disconnected, NoOverlappingToken) for the caller to count.
+    The pair arrives in sentence order (as `_candidate_pairs` yields it):
+    its first mention is candidate1 and contributes the left chain.  Raises
+    the skip-reason errors (the keys of `_SKIP_REASONS`) for the caller to
+    count.
     """
-    m1, m2 = sorted(pair, key=lambda m: (m.char_start, m.char_end, m.mention_id))
+    m1, m2 = pair
     choice1 = resolver.resolve(m1)
     choice2 = resolver.resolve(m2)
     if diagnostics is not None:
@@ -423,8 +418,7 @@ def build_instance(
     path = shortest_dependency_path(tokens, h1, h2)
     others = [m for m in sentence.entities if m.mention_id not in
               (m1.mention_id, m2.mention_id)]
-    masked = mask_tokens(path, (h1.index, h2.index), others)
-    classes = supersense_classes(path, masked, lexicon)
+    masked, classes = path_sequences(path, (h1.index, h2.index), others, lexicon)
 
     graph1 = resolver.graph_for(m1.entity_type)
     graph2 = resolver.graph_for(m2.entity_type)
@@ -450,6 +444,8 @@ def build_instance(
 def _candidate_pairs(
     sentence: SentenceRecord, pair_types: tuple[str, str]
 ) -> list[tuple[EntityMention, EntityMention]]:
+    """Every pair of the sentence's mentions whose types match `pair_types`,
+    each in sentence order: by (char_start, char_end, mention_id)."""
     wanted = sorted(pair_types)
     ordered = sorted(
         sentence.entities, key=lambda m: (m.char_start, m.char_end, m.mention_id)
@@ -493,7 +489,7 @@ def generate_instances(
             per_sentence[key] = r.label
 
     instances: list[Instance] = []
-    for sentence in sorted(sentences, key=lambda s: s.sentence_id):
+    for sentence in sentences:
         tokens = parses.get(sentence.sentence_id)
         per_sentence = label_index.get(sentence.sentence_id, {})
         for m1, m2 in _candidate_pairs(sentence, pair_types):
@@ -512,14 +508,8 @@ def generate_instances(
                 instance = build_instance(
                     sentence, (m1, m2), resolver, lexicon, tokens, label, diagnostics
                 )
-            except UnmappableEntity:
-                diagnostics["unmappable_entity"] += 1
-                continue
-            except Disconnected:
-                diagnostics["disconnected"] += 1
-                continue
-            except NoOverlappingToken:
-                diagnostics["no_overlapping_token"] += 1
+            except tuple(_SKIP_REASONS) as exc:
+                diagnostics[_SKIP_REASONS[type(exc)]] += 1
                 continue
             instances.append(instance)
     instances.sort(key=lambda i: (i.sentence_id, i.pair))
@@ -531,9 +521,7 @@ def generate_instances(
 
 def dump_instances(instances: Iterable[Instance], out: TextIO) -> None:
     for instance in instances:
-        payload = asdict(instance)
-        payload["pair"] = list(instance.pair)
-        out.write(json.dumps(payload, ensure_ascii=False) + "\n")
+        out.write(json.dumps(vars(instance), ensure_ascii=False) + "\n")
 
 
 def _is_str_list(value) -> bool:

@@ -305,14 +305,12 @@ def load_word_vectors(
 
 
 def pretrained_embedding(
-    words: list[str], vectors: np.ndarray, vocab: dict[str, int], seed: int
-) -> np.ndarray:
-    """Words-channel embedding from `load_word_vectors` output: rows of
-    in-vocabulary words are copied (a word listed twice keeps its last
-    vector), every other row keeps the seeded uniform initialization, and
+    matrix: np.ndarray, words: list[str], vectors: np.ndarray, vocab: dict[str, int]
+) -> None:
+    """Copy `load_word_vectors` output into the words-channel embedding
+    `matrix` in place: rows of in-vocabulary words take their vector (a word
+    listed twice keeps its last one), every other row keeps its value, and
     the padding row stays zero."""
-    rng = np.random.default_rng(seed)
-    matrix = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=(len(vocab), vectors.shape[1]))
     # row -> the last line of its word, since a later line overwrites an
     # earlier one; words outside the vocabulary collect under None
     source = dict(zip(map(vocab.get, words), range(len(words))))
@@ -320,7 +318,6 @@ def pretrained_embedding(
     rows = np.fromiter(source, dtype=np.intp, count=len(source))
     matrix[rows] = vectors[np.fromiter(source.values(), dtype=np.intp, count=len(source))]
     matrix[PAD_INDEX] = 0.0
-    return matrix
 
 
 # --- parameters ---------------------------------------------------------------
@@ -686,8 +683,6 @@ def predict(
     params: ModelParams, data: EncodedDataset, threshold: float = 0.5
 ) -> list[Prediction]:
     """Evaluation-mode predictions; label is positive iff prob >= threshold."""
-    if not len(data):
-        return []
     probs = forward(params, data.ids)
     out = []
     for iid, p in zip(data.instance_ids, probs[:, 1]):

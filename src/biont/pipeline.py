@@ -166,8 +166,8 @@ def cmd_train(
     specs = model_mod.channel_specs(channels, vocabs, config.model, config.train)
     params = model_mod.init_params(specs, config.model.dense_dim, config.train.seed)
     if vectors is not None:
-        params.tensors["words.embedding"] = model_mod.pretrained_embedding(
-            words, vectors, vocabs["words"], config.train.seed
+        model_mod.pretrained_embedding(
+            params.tensors["words.embedding"], words, vectors, vocabs["words"]
         )
         del words, vectors  # free the parsed rows before training
     encoder = Encoder(specs, vocabs)
@@ -226,16 +226,6 @@ def cmd_predict(
     """Write JSON-lines predictions: instance_id, prob_positive, label."""
     params, encoder, instances = _load_for_inference(model_path, instances_path)
     predictions = model_mod.predict(params, encoder.encode(instances), threshold)
-    rows = [
-        json.dumps(
-            {
-                "instance_id": p.instance_id,
-                "prob_positive": p.prob_positive,
-                "label": p.label,
-            },
-            ensure_ascii=False,
-        )
-        for p in predictions
-    ]
-    _write_text(Path(out_path), "".join(row + "\n" for row in rows))
+    rows = [json.dumps(vars(p), ensure_ascii=False) + "\n" for p in predictions]
+    _write_text(Path(out_path), "".join(rows))
     return predictions

@@ -208,13 +208,13 @@ def test_shortest_path_disconnected_raises():
 # --- masking and classes -----------------------------------------------------------
 
 
-def test_mask_tokens_candidates_and_entity(ddi_data):
+def test_mask_tokens_candidates_and_entity(ddi_data, lexicon):
     _, _, parses = ddi_data
     tokens = parses["DDI-FIX.d0.s0"]
     by_index = {t.index: t for t in tokens}
     path = [by_index[i] for i in (1, 2, 4, 6, 8)]
     other = mention(32, 40, mid="other")  # warfarin, a third entity on the path
-    masked = inst.mask_tokens(path, (1, 8), [other])
+    masked, _ = inst.path_sequences(path, (1, 8), [other], lexicon)
     assert masked == ["candidate1", "increases", "effect", "entity", "candidate2"]
 
 
@@ -223,9 +223,32 @@ def test_supersense_classes_lookup_and_default(ddi_data, lexicon):
     tokens = parses["DDI-FIX.d0.s0"]
     by_index = {t.index: t for t in tokens}
     path = [by_index[i] for i in (1, 2, 4, 6)]
-    masked = inst.mask_tokens(path, (1, 6), [])
-    classes = inst.supersense_classes(path, masked, lexicon)
+    _, classes = inst.path_sequences(path, (1, 6), [], lexicon)
     assert classes == ["O", "verb.change", "noun.state", "O"]
+
+
+def test_path_word_spelled_like_a_mask_keeps_its_class():
+    # the masking decision, not the masked string, decides the class: a
+    # literal "Entity" keeps noun.Tops, while the candidates and a token
+    # inside another mention get O even though their lemmas are listed
+    text = "Aspirin increases Entity warfarin heparin"
+    tokens = [
+        inst.ParsedToken(1, "Aspirin", "aspirin", 2, "nsubj", 0, 7),
+        inst.ParsedToken(2, "increases", "increase", 0, "root", 8, 17),
+        inst.ParsedToken(3, "Entity", "entity", 2, "obj", 18, 24),
+        inst.ParsedToken(4, "warfarin", "warfarin", 3, "nmod", 25, 33),
+        inst.ParsedToken(5, "heparin", "heparin", 4, "conj", 34, 41),
+    ]
+    assert [text[t.char_start:t.char_end] for t in tokens] == text.split()
+    lexicon = inst.SupersenseLexicon(
+        ["verb.change", "noun.Tops", "noun.substance"],
+        {"increase": "verb.change", "entity": "noun.Tops", "aspirin": "noun.substance",
+         "warfarin": "noun.substance", "heparin": "noun.substance"},
+    )
+    other = mention(25, 33, mid="other")
+    forms, classes = inst.path_sequences(tokens, (1, 5), [other], lexicon)
+    assert forms == ["candidate1", "increases", "entity", "entity", "candidate2"]
+    assert classes == ["O", "verb.change", "noun.Tops", "O", "O"]
 
 
 def test_lexicon_requires_header():

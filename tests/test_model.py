@@ -200,7 +200,8 @@ def test_load_word_vectors_copies_known_rows():
     vocab = {"<pad>": 0, "<oov>": 1, "binds": 2, "other": 3}
     stream = io.StringIO("2 3\nbinds 0.5 -0.5 0.25\nmissing 1 2 3\n")
     words, vectors = m.load_word_vectors(stream, embed_dim=3)
-    matrix = m.pretrained_embedding(words, vectors, vocab, seed=1)
+    matrix = np.random.default_rng(1).uniform(-0.08, 0.08, size=(4, 3))
+    m.pretrained_embedding(matrix, words, vectors, vocab)
     assert matrix.shape == (4, 3)
     assert matrix[2].tolist() == [0.5, -0.5, 0.25]
     assert matrix[0].tolist() == [0.0, 0.0, 0.0]
@@ -213,7 +214,8 @@ def test_word_vectors_duplicate_word_keeps_first_position_and_last_vector():
     words, vectors = m.load_word_vectors(io.StringIO("a 1 1\nb 2 2\na 3 3\n"), embed_dim=2)
     vocab = m.build_vocabularies([], m.CHANNELS, words)["words"]
     assert list(vocab) == ["<pad>", "<oov>", "a", "b"]
-    matrix = m.pretrained_embedding(words, vectors, vocab, seed=1)
+    matrix = np.random.default_rng(1).uniform(-0.08, 0.08, size=(len(vocab), 2))
+    m.pretrained_embedding(matrix, words, vectors, vocab)
     assert matrix[vocab["a"]].tolist() == [3.0, 3.0]
     assert matrix[vocab["b"]].tolist() == [2.0, 2.0]
 
@@ -229,7 +231,9 @@ def test_pretrained_embedding_matches_row_loop():
         if word in vocab:
             want[vocab[word]] = vector
     want[0] = 0.0
-    assert m.pretrained_embedding(words, vectors, vocab, seed=9).tobytes() == want.tobytes()
+    matrix = np.random.default_rng(9).uniform(-0.08, 0.08, size=(len(vocab), 4))
+    m.pretrained_embedding(matrix, words, vectors, vocab)
+    assert matrix.tobytes() == want.tobytes()
 
 
 def test_load_word_vectors_header_dim_mismatch_raises():

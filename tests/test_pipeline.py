@@ -767,6 +767,24 @@ def test_cli_train_with_huge_max_sdp_len_exits_zero(fixtures, tmp_path, capsys):
     assert specs[0]["max_len"] == 10**12
 
 
+def test_cli_train_with_unallocatable_hidden_dim_exits_two(fixtures, tmp_path, capsys):
+    # 4 * 10**13 gate columns are past any address space, so the first
+    # LSTM weight's allocation fails before any memory is touched
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json")
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["model"] = {**payload.get("model", {}), "hidden_dim": 10**13}
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    instances, model = tmp_path / "instances.jsonl", tmp_path / "model.json"
+    assert run_cli("preprocess", "--config", str(config), "--out", str(instances)) == 0
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(config), "--in", str(instances),
+                   "--model", str(model)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "allocate" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
 def test_python_m_biont_predicts_in_a_fresh_process(fixtures, tmp_path):
     assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
     src = str(Path(__file__).resolve().parents[1] / "src")
