@@ -140,8 +140,8 @@ def load_config(config_path: str | Path) -> RunConfig:
     if not isinstance(split_fraction, (int, float)) or not 0.0 < split_fraction < 1.0:
         raise ConfigError("split_fraction must lie in (0, 1)")
     seed = payload.get("seed", 1)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("seed must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed must be a non-negative integer")
 
     # by default every channel, but onto_common only for same-type pairs
     first_type, second_type = CORPUS_PAIR_TYPES[corpus]
@@ -164,6 +164,8 @@ def load_config(config_path: str | Path) -> RunConfig:
             raise ConfigError(f"model.{name} must be a positive integer")
 
     train = _numeric_section(payload, "train", TrainConfig, seed=seed)
+    if train.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError("train.seed must be a non-negative integer")
     if train.learning_rate <= 0:
         raise ConfigError("train.learning_rate must be positive")
     if train.epochs < 0 or train.batch_size < 1:

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 import binascii
 import copy
+import itertools
 import json
 import math
+import warnings
 from array import array
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 import numpy as np
 
@@ -246,41 +248,46 @@ class Encoder:
 # --- word vectors -------------------------------------------------------------
 
 
-def load_word_vectors(
-    stream: Iterable[str] | TextIO, embed_dim: int
-) -> tuple[list[str], np.ndarray]:
-    """Words and vectors of a whitespace-separated text vector file.
+def _vector_lines(
+    stream: TextIO, embed_dim: int
+) -> tuple[int | None, Iterator[tuple[int, str]]]:
+    """The header's count (None without a header) and the numbered lines
+    after the header.  The first non-blank line is a "count dim" header when
+    it holds two integers; its dim must be `embed_dim`."""
+    numbered = enumerate(stream, start=1)
+    for lineno, raw in numbered:
+        parts = raw.split()
+        if not parts:
+            continue
+        if len(parts) == 2:
+            try:
+                count, dim = int(parts[0]), int(parts[1])
+            except ValueError:
+                pass
+            else:
+                if dim != embed_dim:
+                    raise DimensionMismatch(
+                        f"vector file dim {dim} vs configured dim {embed_dim}"
+                    )
+                return count, numbered
+        return None, itertools.chain([(lineno, raw)], numbered)
+    return None, numbered
 
-    Returns the word of each vector line, in file order, and the
-    (lines, embed_dim) matrix of their vectors.  The first non-blank line
-    may be a "count dim" header; its dim must match, and its count must be
-    the number of vector lines.  A component that is not a finite number
-    raises MalformedVectorLine, and so does a wrong count.
-    """
+
+def _scan_vector_lines(
+    lines: Iterator[tuple[int, str]], embed_dim: int
+) -> tuple[list[str], np.ndarray]:
+    """Words and matrix of numbered vector lines, parsed one line at a time
+    with float(), so the first bad line raises with its number."""
     words: list[str] = []
     # one flat buffer: small per-line arrays, freed late, fragment the heap
     # and raised the peak memory of the training that follows
     values = array("d")
     linenos = array("q")  # file line of each vector, to name a non-finite one
-    first = True
-    count = None
-    for lineno, raw in enumerate(stream, start=1):
+    for lineno, raw in lines:
         parts = raw.split()
         if not parts:
             continue
-        if first:
-            first = False
-            if len(parts) == 2:
-                try:
-                    count, dim = int(parts[0]), int(parts[1])
-                except ValueError:
-                    dim = None
-                if dim is not None:
-                    if dim != embed_dim:
-                        raise DimensionMismatch(
-                            f"vector file dim {dim} vs configured dim {embed_dim}"
-                        )
-                    continue
         try:
             vector = array("d", [float(v) for v in parts[1:]])
         except ValueError as exc:
@@ -299,6 +306,48 @@ def load_word_vectors(
         raise MalformedVectorLine(
             f"line {linenos[int(np.argmin(finite))]}: non-finite component"
         )
+    return words, matrix
+
+
+def load_word_vectors(stream: TextIO, embed_dim: int) -> tuple[list[str], np.ndarray]:
+    """Words and vectors of a whitespace-separated text vector file.
+
+    Returns the word of each vector line, in file order, and the
+    (lines, embed_dim) matrix of their vectors.  The first non-blank line
+    may be a "count dim" header; its dim must match, and its count must be
+    the number of vector lines.  A component that is not a finite number
+    raises MalformedVectorLine, and so does a wrong count.
+
+    numpy's C text parser reads the file in one streamed pass.  When it
+    refuses the file, or its matrix is not one finite row of `embed_dim`
+    values per vector line, the file is read again from the start by a
+    line scan that names the bad line; so `stream` must be seekable.
+    """
+    count, lines = _vector_lines(stream, embed_dim)
+    words: list[str] = []
+
+    def components() -> Iterator[str]:
+        # a line holding only a word yields "", which numpy skips, so the
+        # shape check below sees one row too few
+        for _, raw in lines:
+            parts = raw.split(None, 1)
+            if parts:
+                words.append(parts[0])
+                yield parts[1] if len(parts) == 2 else ""
+
+    try:
+        with warnings.catch_warnings():
+            # a file without vector lines; the scan below gives its matrix
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            matrix = np.loadtxt(components(), dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        matrix = None
+    # numpy refuses some text that float() takes, such as 1_000 or non-ASCII
+    # digits; the scan loads such a file, and names the bad line of a bad one
+    if matrix is None or matrix.shape != (len(words), embed_dim) or not np.isfinite(matrix).all():
+        stream.seek(0)
+        _, lines = _vector_lines(stream, embed_dim)
+        words, matrix = _scan_vector_lines(lines, embed_dim)
     if count is not None and count != len(words):
         raise MalformedVectorLine(f"header count {count} vs {len(words)} vector lines")
     return words, matrix
@@ -327,10 +376,15 @@ def init_params(specs: list[ChannelSpec], dense_dim: int, seed: int) -> ModelPar
     """Uniform [-0.08, 0.08] init from a seeded PCG64 generator; the padding
     embedding row is fixed to zeros and forget-gate biases to 1.0."""
     rng = np.random.default_rng(seed)
-    tensors = {
-        name: rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
-        for name, shape in tensor_shapes(specs, dense_dim)
-    }
+    try:
+        tensors = {
+            name: rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
+            for name, shape in tensor_shapes(specs, dense_dim)
+        }
+    except ValueError as exc:
+        # numpy refuses a size past int64 with ValueError ("array is too
+        # big", "Maximum allowed dimension exceeded"), not MemoryError
+        raise MemoryError(f"cannot allocate the model's tensors: {exc}") from exc
     for spec in specs:
         tensors[f"{spec.name}.embedding"][PAD_INDEX] = 0.0
         H = spec.hidden_dim

@@ -3,12 +3,14 @@
 These deliberately use different algorithms from the package: fixed-point
 iteration for the ancestor closure, memoized top-down recursion for depths,
 whole-text stanza dicts and edge relaxation for OBO files, root-chain
-splicing for tree paths, central finite differences for gradients, and
-per-row scalar loops for the model's forward pass.
+splicing for tree paths, central finite differences for gradients,
+per-row scalar loops for the model's forward pass, and a float()-per-token
+line scan for word-vector files.
 """
 from __future__ import annotations
 
 import math
+from array import array
 
 import numpy as np
 
@@ -16,8 +18,10 @@ from biont.errors import (
     CycleDetected,
     DanglingParent,
     DataError,
+    DimensionMismatch,
     DuplicateId,
     MalformedStanza,
+    MalformedVectorLine,
 )
 
 
@@ -318,3 +322,50 @@ def reference_forward(specs, tensors: dict[str, np.ndarray],
         exps = [math.exp(v - max(logits)) for v in logits]
         probs[row] = [e / sum(exps) for e in exps]
     return probs
+
+
+def reference_load_word_vectors(stream, embed_dim: int) -> tuple[list[str], np.ndarray]:
+    """The word-vector reader as one line scan: str.split and float() on
+    every line, the first bad line raising with its number."""
+    words: list[str] = []
+    values = array("d")
+    linenos = array("q")
+    first = True
+    count = None
+    for lineno, raw in enumerate(stream, start=1):
+        parts = raw.split()
+        if not parts:
+            continue
+        if first:
+            first = False
+            if len(parts) == 2:
+                try:
+                    count, dim = int(parts[0]), int(parts[1])
+                except ValueError:
+                    dim = None
+                if dim is not None:
+                    if dim != embed_dim:
+                        raise DimensionMismatch(
+                            f"vector file dim {dim} vs configured dim {embed_dim}"
+                        )
+                    continue
+        try:
+            vector = array("d", [float(v) for v in parts[1:]])
+        except ValueError as exc:
+            raise MalformedVectorLine(f"line {lineno}: non-numeric component") from exc
+        if len(vector) != embed_dim:
+            raise DimensionMismatch(
+                f"line {lineno}: {len(vector)} components vs configured dim {embed_dim}"
+            )
+        words.append(parts[0])
+        values.extend(vector)
+        linenos.append(lineno)
+    matrix = np.frombuffer(values).reshape(len(words), embed_dim)
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        raise MalformedVectorLine(
+            f"line {linenos[int(np.argmin(finite))]}: non-finite component"
+        )
+    if count is not None and count != len(words):
+        raise MalformedVectorLine(f"header count {count} vs {len(words)} vector lines")
+    return words, matrix

@@ -4,7 +4,9 @@ import dataclasses
 import io
 import json
 import math
+import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from oracle_helpers import (
     finite_difference_gradients,
     max_relative_error,
     reference_forward,
+    reference_load_word_vectors,
 )
 
 
@@ -266,6 +269,124 @@ def test_load_word_vectors_header_count_mismatch_raises(text, lines):
     count = text.split()[0]
     with pytest.raises(MalformedVectorLine, match=f"^header count {count} vs {lines} vector lines$"):
         m.load_word_vectors(io.StringIO(text), embed_dim=6)
+
+
+def test_load_word_vectors_reads_what_only_float_takes():
+    # numpy's parser refuses 1_000 and non-ASCII digits; the line scan reads them
+    words, vectors = m.load_word_vectors(io.StringIO("2 2\na 1_000 \u0661\nb 1 2\n"), embed_dim=2)
+    assert words == ["a", "b"]
+    assert vectors.tolist() == [[1000.0, 1.0], [1.0, 2.0]]
+
+
+# str.split separates on all of these; a "\r" inside a line ends numpy's row
+VECTOR_SEPARATORS = (" ", "  ", "\t", "\xa0", "\x0b", "\x0c", "\x1c", "\x85", "\u3000", "\r")
+# not finite, or taken by float() and refused by numpy, or refused by both
+ODD_COMPONENTS = ("nan", "inf", "-inf", "1e400", "1e-400", "1_000", "1e1_0", "\u0661",
+                  "\u0661\u0662.5", "\uff11", "0x10", "+-1", "1.5d3", "x", "\x00",
+                  "1\x00", "1,5", "1x2", "1;2", "1\x002")
+VECTOR_WORDS = ("binds", "inhibits", "a", "nan", "\u0661", "3", "w_1")
+LINE_FAULTS = ("short row", "long row", "word only", "odd component", "odd short row")
+HEADER_FAULTS = ("header count", "header dim")
+
+
+def random_vector_file(rng: random.Random) -> tuple[str, int, list[str]]:
+    """A seeded vector file with blank lines and CRLF line ends, its dim, and
+    the faults planted in it: none in about a third of the files, else one
+    or two of LINE_FAULTS and HEADER_FAULTS."""
+    dim = rng.randint(1, 4)
+    n = rng.randint(1, 8)
+    faults = [] if rng.random() < 0.35 else rng.sample(LINE_FAULTS + HEADER_FAULTS,
+                                                        rng.choice((1, 1, 2)))
+    planted = {rng.randrange(n): fault for fault in faults if fault in LINE_FAULTS}
+    lines = []
+    for k in range(n):
+        if rng.random() < 0.15:
+            lines.append(rng.choice(("", " ", "\t", "\xa0")))
+        fault = planted.get(k)
+        size = {"short row": dim - 1, "odd short row": dim - 1, "long row": dim + 1,
+                "word only": 0}.get(fault, dim)
+        components = []
+        for _ in range(size):
+            value = rng.gauss(0.0, 3.0)
+            components.append(rng.choice((repr(value), f"{value:.4f}", f"{value:e}",
+                                          f"{value:+.2f}", str(int(value)), f"{int(value)}.")))
+        if fault in ("odd component", "odd short row") and components:
+            components[rng.randrange(size)] = rng.choice(ODD_COMPONENTS)
+        line = rng.choice(VECTOR_WORDS) + "".join(
+            rng.choice(VECTOR_SEPARATORS) + component for component in components)
+        lines.append(line + rng.choice(("", " ", "\xa0")))
+    if rng.random() < 0.5 or set(faults) & set(HEADER_FAULTS):
+        count = n + ("header count" in faults) * rng.choice((-1, 1))
+        header = f"{count} {dim + ('header dim' in faults)}"
+        lines.insert(1 if not lines[0].split() and rng.random() < 0.5 else 0, header)
+    text = "".join(line + rng.choice(("\n", "\r\n")) for line in lines)
+    if rng.random() < 0.2:
+        text = text.rstrip("\r\n")  # no line end after the last line
+    return text, dim, faults
+
+
+def vector_outcome(reader, text: str, dim: int):
+    try:
+        words, matrix = reader(io.StringIO(text), dim)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return words, matrix.shape, matrix.tobytes()
+
+
+def test_load_word_vectors_matches_reference_reader():
+    # words, matrix bits, and the raised exception with its message
+    rng = random.Random(2024)
+    outcomes, planted = Counter(), Counter()
+    for k in range(1500):
+        text, dim, faults = random_vector_file(rng)
+        want = vector_outcome(reference_load_word_vectors, text, dim)
+        assert vector_outcome(m.load_word_vectors, text, dim) == want, (k, text, dim)
+        outcomes[want[0] if isinstance(want[0], type) else "loaded"] += 1
+        planted.update(faults or ["none"])
+    assert set(outcomes) == {"loaded", DimensionMismatch, MalformedVectorLine}
+    assert min(outcomes.values()) >= 150, outcomes
+    assert set(planted) == {"none", *LINE_FAULTS, *HEADER_FAULTS}
+    assert min(planted.values()) >= 100, planted
+
+
+def write_vector_file(path, rows: int, dim: int, last_line: str | None = None) -> np.ndarray:
+    """A seeded `rows` x `dim` file at `path` with a header, blank lines and
+    CRLF line ends; `last_line` replaces the last vector line."""
+    matrix = np.round(np.random.default_rng(5).normal(0.0, 3.0, size=(rows, dim)), 4)
+    lines = [f"{rows} {dim}", ""]
+    lines += [f"w{k} " + " ".join(map(str, row.tolist())) for k, row in enumerate(matrix)]
+    if last_line is not None:
+        lines[-1] = last_line
+    path.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8", newline="")
+    return matrix
+
+
+def test_load_word_vectors_peak_memory_streams_the_file(tmp_path):
+    # holding every line as a string peaks at ~2.6x the matrix; the streamed
+    # parse peaks at ~1.4x
+    path = tmp_path / "vectors.txt"
+    want = write_vector_file(path, 50_000, 32)
+    with open(path, encoding="utf-8") as handle:
+        tracemalloc.start()
+        try:
+            words, vectors = m.load_word_vectors(handle, 32)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(words) == 50_000 and vectors.tobytes() == want.tobytes()
+    assert peak <= 1.6 * vectors.nbytes, peak / vectors.nbytes
+
+
+@pytest.mark.parametrize("component, error", [
+    ("1.0.0", "non-numeric component"), ("nan", "non-finite component"),
+])
+def test_load_word_vectors_names_bad_last_line_of_a_file(tmp_path, component, error):
+    # numpy's parser has read the whole file; the scan seeks back to its start
+    path = tmp_path / "vectors.txt"
+    write_vector_file(path, 200, 4, last_line=f"last 1.0 2.0 {component} 4.0")
+    with open(path, encoding="utf-8") as handle:
+        with pytest.raises(MalformedVectorLine, match=f"^line 202: {error}$"):
+            m.load_word_vectors(handle, 4)
 
 
 # --- initialization -----------------------------------------------------------------

@@ -785,6 +785,36 @@ def test_cli_train_with_unallocatable_hidden_dim_exits_two(fixtures, tmp_path, c
     assert not model.exists()
 
 
+@pytest.mark.parametrize("key", ["dense_dim", "hidden_dim"])
+def test_cli_train_with_dimension_past_int64_exits_two(fixtures, tmp_path, capsys, key):
+    # numpy refuses such a size with ValueError, not MemoryError
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json")
+    payload = json.loads(config.read_text(encoding="utf-8"))
+    payload["model"][key] = 2**64
+    config.write_text(json.dumps(payload), encoding="utf-8")
+    instances, model = tmp_path / "instances.jsonl", tmp_path / "model.json"
+    assert run_cli("preprocess", "--config", str(config), "--out", str(instances)) == 0
+    capsys.readouterr()
+    assert run_cli("train", "--config", str(config), "--in", str(instances),
+                   "--model", str(model)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate the model's tensors")
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("mutation", [{"seed": -1}, {"train": {"seed": -1}}],
+                         ids=["seed", "train.seed"])
+def test_cli_negative_seed_exits_one(fixtures, tmp_path, capsys, mutation):
+    # numpy's generators take no negative seed
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json", mutate=mutation)
+    assert run_cli("preprocess", "--config", str(config),
+                   "--out", str(tmp_path / "x.jsonl")) == 1
+    err = capsys.readouterr().err
+    assert "seed must be a non-negative integer" in err
+    assert "Traceback" not in err
+
+
 def test_python_m_biont_predicts_in_a_fresh_process(fixtures, tmp_path):
     assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
     src = str(Path(__file__).resolve().parents[1] / "src")
