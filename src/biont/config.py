@@ -128,13 +128,17 @@ def load_config(config_path: str | Path) -> RunConfig:
     vectors_path = _require_path(base, vectors, "vectors") if vectors is not None else None
 
     column_map = _object(payload, "column_map")
+    if not all(isinstance(column, str) for column in column_map.values()):
+        raise ConfigError("column_map values must be column-name strings")
     if corpus == "pgr":
         missing = [k for k in PGR_REQUIRED_KEYS if k not in column_map]
         if missing:
             raise ConfigError(f"column_map lacks keys: {', '.join(missing)}")
-    truthy = payload.get("truthy_tokens") or DEFAULT_TRUTHY_TOKENS
-    if not isinstance(truthy, (list, tuple)) or not all(isinstance(t, str) for t in truthy):
-        raise ConfigError("truthy_tokens must be a list of strings")
+    truthy = payload.get("truthy_tokens")
+    if truthy is None:
+        truthy = DEFAULT_TRUTHY_TOKENS
+    elif not isinstance(truthy, list) or not truthy or not all(isinstance(t, str) for t in truthy):
+        raise ConfigError("truthy_tokens must be a non-empty list of strings")
 
     split_fraction = payload.get("split_fraction", 0.8)
     if not isinstance(split_fraction, (int, float)) or not 0.0 < split_fraction < 1.0:
@@ -150,7 +154,9 @@ def load_config(config_path: str | Path) -> RunConfig:
         name: name != "onto_common" or same_type for name in CHANNELS
     }
     _reject_unknown(channels_raw, set(CHANNELS), "channels")
-    channels = {name: bool(channels_raw.get(name, False)) for name in CHANNELS}
+    if not all(isinstance(flag, bool) for flag in channels_raw.values()):
+        raise ConfigError("channels values must be true or false")
+    channels = {name: channels_raw.get(name, False) for name in CHANNELS}
     if not any(channels.values()):
         raise ConfigError("at least one channel must be enabled")
     if channels["onto_common"] and not same_type:

@@ -108,7 +108,3 @@ class NonFiniteLoss(DataError):
     def __init__(self, epoch, message=""):
         self.epoch = epoch
         super().__init__(message or f"non-finite loss at epoch {epoch}")
-
-
-class KeyMismatch(DataError):
-    pass

@@ -1,18 +1,16 @@
-"""Precision / recall / F-score over the positive class."""
+"""Precision / recall / F-score over the positive class.
+
+`score` is the one place where predictions meet gold: training's dev F and
+`evaluate` both count tp/fp/fn through it, from the encoded gold labels.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
-from .errors import KeyMismatch
+import numpy as np
 
-
-@dataclass
-class Prediction:
-    instance_id: str
-    prob_positive: float
-    label: str
+from .errors import DataError
 
 
 @dataclass
@@ -36,33 +34,25 @@ class Metrics:
                    f_score=f_score)
 
 
-def compute_metrics(
-    predictions: Iterable[Prediction], gold: dict[str, str]
-) -> Metrics:
-    """Score predictions against gold labels keyed by instance id.
+def require_labeled(labels: np.ndarray, where: str) -> None:
+    """Raise DataError when encoded gold `labels` hold an unlabeled (-1) row:
+    it is neither positive nor negative, so it can be neither learned nor
+    scored."""
+    unlabeled = int(np.count_nonzero(labels < 0))
+    if unlabeled:
+        raise DataError(f"{where}: {unlabeled} unlabeled instance(s); "
+                        "only positive or negative gold can be trained on or scored")
 
-    The two key sets must match exactly; anything else raises KeyMismatch.
-    """
-    by_id: dict[str, str] = {}
-    for p in predictions:
-        if p.instance_id in by_id:
-            raise KeyMismatch(f"duplicate prediction for {p.instance_id}")
-        by_id[p.instance_id] = p.label
-    if set(by_id) != set(gold):
-        missing = sorted(set(gold) - set(by_id))[:3]
-        extra = sorted(set(by_id) - set(gold))[:3]
-        raise KeyMismatch(f"prediction/gold key sets differ (missing {missing}, extra {extra})")
-    tp = fp = fn = 0
-    for iid, pred_label in by_id.items():
-        gold_positive = gold[iid] == "positive"
-        pred_positive = pred_label == "positive"
-        if pred_positive and gold_positive:
-            tp += 1
-        elif pred_positive and not gold_positive:
-            fp += 1
-        elif gold_positive:
-            fn += 1
-    return Metrics.from_counts(tp, fp, fn)
+
+def score(prob_positive: np.ndarray, labels: np.ndarray, threshold: float = 0.5) -> Metrics:
+    """Count `prob_positive >= threshold` against encoded gold `labels`
+    (1 positive, 0 negative; see `require_labeled` for -1)."""
+    require_labeled(labels, "scored gold")
+    predicted = prob_positive >= threshold
+    gold = labels == 1
+    return Metrics.from_counts(int(np.count_nonzero(predicted & gold)),
+                               int(np.count_nonzero(predicted & ~gold)),
+                               int(np.count_nonzero(gold & ~predicted)))
 
 
 def format_report(configuration: str, metrics: Metrics) -> str:

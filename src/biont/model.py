@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .instances import Instance
-from .metrics import Metrics, Prediction
+from .metrics import require_labeled, score
 
 PAD_INDEX = 0
 OOV_INDEX = 1
@@ -672,13 +672,6 @@ def sgd_step(
 # --- training and prediction ----------------------------------------------------
 
 
-def _binary_f_score(pred_positive: np.ndarray, gold_positive: np.ndarray) -> float:
-    tp = int(np.sum(pred_positive & gold_positive))
-    fp = int(np.sum(pred_positive & ~gold_positive))
-    fn = int(np.sum(~pred_positive & gold_positive))
-    return Metrics.from_counts(tp, fp, fn).f_score
-
-
 def train(
     params: ModelParams,
     train_data: EncodedDataset,
@@ -689,11 +682,12 @@ def train(
 
     History records per-epoch mean train loss and dev F-score.  Returns the
     parameters of the best dev-F epoch (ties: earliest; with no epochs, the
-    initial parameters).  Raises NonFiniteLoss with the epoch index if a
-    batch loss stops being finite.
+    initial parameters).  Raises DataError before the first epoch if
+    either split holds an unlabeled instance, and NonFiniteLoss with the
+    epoch index if a batch loss stops being finite.
     """
-    if len(train_data) and (train_data.labels < 0).any():
-        raise DataError("unlabeled instance in training data")
+    require_labeled(train_data.labels, "train split")
+    require_labeled(dev_data.labels, "dev split")
     rng = np.random.default_rng(config.seed)
     history: list[dict] = []
     best_params = params.copy()
@@ -718,11 +712,7 @@ def train(
             batch_losses.append(batch_loss)
             sgd_step(params, grads, config.learning_rate)
         train_loss = float(np.mean(batch_losses)) if batch_losses else 0.0
-        if len(dev_data):
-            probs = forward(params, dev_data.ids)
-            dev_f = _binary_f_score(probs[:, 1] >= 0.5, dev_data.labels == 1)
-        else:
-            dev_f = 0.0
+        dev_f = score(forward(params, dev_data.ids)[:, 1], dev_data.labels).f_score
         history.append({"epoch": epoch, "train_loss": train_loss, "dev_f": dev_f})
         if dev_f > best_f:
             best_f = dev_f
@@ -731,6 +721,13 @@ def train(
             for name, tensor in params.tensors.items():
                 np.copyto(best_params.tensors[name], tensor)
     return best_params, history
+
+
+@dataclass
+class Prediction:
+    instance_id: str
+    prob_positive: float
+    label: str
 
 
 def predict(

@@ -21,8 +21,8 @@ from . import ontology
 from .config import RunConfig
 from .errors import DataError
 from .instances import EntityResolver, Instance
-from .metrics import Metrics, Prediction, compute_metrics, format_report
-from .model import Encoder, ModelParams
+from .metrics import Metrics, format_report, require_labeled, score
+from .model import Encoder, ModelParams, Prediction
 
 # Always reported, even at zero, so report shapes are stable.
 CANONICAL_SKIP_REASONS = ("disconnected", "unmappable_entity")
@@ -155,8 +155,6 @@ def cmd_train(
     train_instances, dev_instances = split_dataset(
         instances, config.split_fraction, config.seed
     )
-    if not dev_instances:
-        dev_instances = train_instances
     channels = config.enabled_channels()
     words = vectors = None
     if config.vectors and "words" in channels:
@@ -171,12 +169,10 @@ def cmd_train(
         )
         del words, vectors  # free the parsed rows before training
     encoder = Encoder(specs, vocabs)
-    best, history = model_mod.train(
-        params,
-        encoder.encode(train_instances),
-        encoder.encode(dev_instances),
-        config.train,
-    )
+    train_data = encoder.encode(train_instances)
+    dev_data = encoder.encode(dev_instances) if dev_instances else train_data
+    del instances, train_instances, dev_instances  # training reads only the encodings
+    best, history = model_mod.train(params, train_data, dev_data, config.train)
     with open(model_path, "w", encoding="utf-8", newline="\n") as handle:
         model_mod.save_model(best, vocabs, handle)
     lines = ["epoch\ttrain_loss\tdev_f"]
@@ -206,12 +202,14 @@ def cmd_evaluate(
     params, encoder, instances = _load_for_inference(model_path, instances_path)
     if not instances:
         raise DataError("no instances to evaluate")
-    unlabeled = [i.instance_id for i in instances if i.label == "unlabeled"]
-    if unlabeled:
-        raise DataError(f"cannot evaluate unlabeled instances: {unlabeled[:3]}")
-    predictions = model_mod.predict(params, encoder.encode(instances), threshold)
-    gold = {i.instance_id: i.label for i in instances}
-    metrics = compute_metrics(predictions, gold)
+    data = encoder.encode(instances)
+    seen: set[str] = set()
+    for instance_id in data.instance_ids:
+        if instance_id in seen:
+            raise DataError(f"instance id {instance_id} is listed twice in {instances_path}")
+        seen.add(instance_id)
+    require_labeled(data.labels, str(instances_path))  # before the forward pass
+    metrics = score(model_mod.forward(params, data.ids)[:, 1], data.labels, threshold)
     configuration = "+".join(s.name for s in params.specs)
     _write_text(Path(out_path), format_report(configuration, metrics))
     return metrics

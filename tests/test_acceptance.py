@@ -18,6 +18,7 @@ from biont import model as m
 from biont import ontology
 from biont.corpus import parse_pubtator, project_document_relations, segment_sentences
 from biont.instances import Instance, ParsedToken, shortest_dependency_path
+from biont.metrics import score
 from biont.pipeline import cmd_preprocess
 from biont.config import load_config
 from conftest import FIXTURES
@@ -168,7 +169,7 @@ def test_training_reaches_perfect_f_on_separable_instances():
         "train F never reached 1.0; best " + str(max(r["dev_f"] for r in history))
     )
     probs = m.forward(best, data.ids)
-    assert m._binary_f_score(probs[:, 1] >= 0.5, data.labels == 1) == 1.0
+    assert score(probs[:, 1], data.labels).f_score == 1.0
     assert time.perf_counter() - start < 60.0
 
 

@@ -1,9 +1,9 @@
 """Precision/recall/F-score arithmetic and report formatting."""
+import numpy as np
 import pytest
 
-from biont.errors import KeyMismatch
-from biont.metrics import Metrics, compute_metrics, format_report
-from biont.model import Prediction
+from biont.errors import DataError
+from biont.metrics import Metrics, format_report, score
 
 # Recorded reference evaluations used to check the F arithmetic: six
 # (precision, recall, f_score) rows as printed at 4 decimals.
@@ -15,11 +15,6 @@ REFERENCE_ROWS = [
     (0.5371, 0.7264, 0.6175),
     (0.5770, 0.7173, 0.6396),
 ]
-
-
-def prediction(iid, label):
-    return Prediction(instance_id=iid, prob_positive=0.9 if label == "positive" else 0.1,
-                      label=label)
 
 
 def test_from_counts_basic():
@@ -35,35 +30,27 @@ def test_from_counts_zero_denominators():
     assert Metrics.from_counts(0, 0, 0) == Metrics(0, 0, 0, 0.0, 0.0, 0.0)
 
 
-def test_compute_metrics_counts():
-    gold = {"a": "positive", "b": "positive", "c": "negative", "d": "negative"}
-    predictions = [
-        prediction("a", "positive"),   # tp
-        prediction("b", "negative"),   # fn
-        prediction("c", "positive"),   # fp
-        prediction("d", "negative"),   # tn
-    ]
-    metrics = compute_metrics(predictions, gold)
+def test_score_counts():
+    probs = np.array([0.9, 0.1, 0.9, 0.1])
+    labels = np.array([1, 1, 0, 0])  # tp, fn, fp, tn
+    metrics = score(probs, labels)
     assert (metrics.tp, metrics.fp, metrics.fn) == (1, 1, 1)
     assert metrics.f_score == pytest.approx(0.5)
 
 
-def test_compute_metrics_duplicate_prediction_raises():
-    gold = {"a": "positive"}
-    with pytest.raises(KeyMismatch):
-        compute_metrics([prediction("a", "positive"),
-                         prediction("a", "negative")], gold)
+def test_score_threshold_is_inclusive():
+    metrics = score(np.array([0.3, 0.29, 0.3]), np.array([1, 1, 0]), threshold=0.3)
+    assert (metrics.tp, metrics.fp, metrics.fn) == (1, 1, 1)
 
 
-def test_compute_metrics_key_set_must_match():
-    gold = {"a": "positive", "b": "negative"}
-    with pytest.raises(KeyMismatch):
-        compute_metrics([prediction("a", "positive")], gold)
-    with pytest.raises(KeyMismatch):
-        compute_metrics(
-            [prediction("a", "positive"), prediction("z", "negative")],
-            {"a": "positive"},
-        )
+def test_score_rejects_unlabeled_gold():
+    with pytest.raises(DataError, match="1 unlabeled"):
+        score(np.array([0.9, 0.1]), np.array([1, -1]))
+
+
+def test_score_empty_input_is_all_zero():
+    empty = score(np.zeros(0), np.zeros(0, dtype=np.int64))
+    assert empty == Metrics(0, 0, 0, 0.0, 0.0, 0.0)
 
 
 def test_format_report_four_decimals():

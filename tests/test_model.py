@@ -20,6 +20,7 @@ from biont.errors import (
     ShapeMismatch,
 )
 from biont.instances import Instance
+from biont.metrics import score
 from oracle_helpers import (
     dense_gradients,
     finite_difference_gradients,
@@ -802,7 +803,7 @@ def test_train_returns_best_dev_epoch():
     best, history = m.train(params.copy(), data, data, config)
     best_recorded = max(row["dev_f"] for row in history)
     probs = m.forward(best, data.ids)
-    achieved = m._binary_f_score(probs[:, 1] >= 0.5, data.labels == 1)
+    achieved = score(probs[:, 1], data.labels).f_score
     assert achieved == pytest.approx(best_recorded)
 
 

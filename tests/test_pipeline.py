@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from biont import cli
 from biont import pipeline
 from biont.config import load_config
 from biont.errors import ConfigError, DataError
-from biont.instances import Instance, load_instances
+from biont.instances import Instance, dump_instances, load_instances
 from biont.model import forward
 from test_model import (
     drop_every_channel,
@@ -301,7 +302,6 @@ def test_evaluate_rejects_unlabeled(fixtures, tmp_path):
     model_path = tmp_path / "model.json"
     pipeline.cmd_train(config, instances_path, model_path)
 
-    from biont.instances import dump_instances
     instances = load_instances(instances_path.open(encoding="utf-8"))
     unlabeled = [
         Instance(**{**i.__dict__, "label": "unlabeled"}) for i in instances
@@ -385,6 +385,42 @@ def test_cli_full_run_exits_zero(fixtures, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote 3 instances" in out
     assert "precision" in out
+
+
+def test_cli_train_with_unlabeled_dev_row_exits_two(fixtures, tmp_path, capsys):
+    # an unlabeled dev row once counted as a negative in every epoch's dev F
+    config_path = fixtures / "pgr.config.json"
+    config = load_config(config_path)
+    instances_path = tmp_path / "instances.jsonl"
+    instances, _ = pipeline.cmd_preprocess(config, instances_path)
+    _, dev = pipeline.split_dataset(instances, config.split_fraction, config.seed)
+    assert len(dev) == 1
+    relabeled = [replace(i, label="unlabeled") if i in dev else i for i in instances]
+    with instances_path.open("w", encoding="utf-8") as handle:
+        dump_instances(relabeled, handle)
+    model = tmp_path / "model.json"
+    assert run_cli("train", "--config", str(config_path), "--in", str(instances_path),
+                   "--model", str(model)) == 2
+    err = capsys.readouterr().err
+    assert "error: dev split: 1 unlabeled instance" in err
+    assert "Traceback" not in err
+    assert not model.exists()
+
+
+def test_cli_evaluate_duplicated_instance_id_exits_two(fixtures, tmp_path, capsys):
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    instances = tmp_path / "instances.jsonl"
+    lines = instances.read_text(encoding="utf-8").splitlines(keepends=True)
+    instances.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+    instance_id = json.loads(lines[1])["instance_id"]
+    metrics = tmp_path / "repeated.tsv"
+    capsys.readouterr()
+    assert run_cli("evaluate", "--model", str(tmp_path / "model.json"),
+                   "--in", str(instances), "--out", str(metrics)) == 2
+    err = capsys.readouterr().err
+    assert f"instance id {instance_id} is listed twice in {instances}" in err
+    assert "Traceback" not in err
+    assert not metrics.exists()
 
 
 def test_cli_usage_error_exits_one(capsys):
@@ -667,6 +703,15 @@ def test_cli_non_utf8_config_exits_one(fixtures, tmp_path, capsys):
     {"xref": ["x"]},
     {"seed": False},
     {"truthy_tokens": 5},
+    {"truthy_tokens": False},
+    {"truthy_tokens": 0},
+    {"truthy_tokens": ""},
+    {"truthy_tokens": []},
+    {"truthy_tokens": ["yes", 1]},
+    {"channels": {"words": "false"}},
+    {"channels": {"words": 1}},
+    {"channels": {"words": True, "classes": None}},
+    {"column_map": {"relation": 5}},
 ], ids=lambda mutation: json.dumps(mutation))
 def test_cli_wrong_typed_config_value_exits_one(fixtures, tmp_path, capsys, mutation):
     config = materialize_config(fixtures, tmp_path, "ddi.config.json", mutate=mutation)
