@@ -6,9 +6,10 @@ Three annotated input formats are supported:
   inclusive character offsets),
 * gene-phenotype TSV with a configurable column map,
 * PubTator abstracts (title/abstract lines, mention lines, CID relation
-  lines) whose document-level relations are projected down to sentences.
+  lines) whose document-level CID pairs are projected down to sentences.
 
-Every reader emits the same two shapes: SentenceRecord and GoldRelation.
+Every corpus reaches instance generation in the same two shapes:
+SentenceRecord and sentence-level GoldRelation.
 """
 
 from __future__ import annotations
@@ -45,11 +46,9 @@ class SentenceRecord:
 
 @dataclass
 class GoldRelation:
-    doc_id: str
     e1_kb_id: str
     e2_kb_id: str
-    level: str  # sentence | document
-    sentence_id: str | None
+    sentence_id: str
     label: str  # positive | negative
 
 
@@ -58,7 +57,7 @@ class PubTatorDocument:
     doc_id: str
     text: str
     mentions: list[EntityMention]
-    relations: list[GoldRelation]
+    cid_pairs: list[tuple[str, str]]  # (chemical, disease) kb ids, file order
 
 
 def _check_surface(surface: str, text: str, start: int, end: int, where: str) -> None:
@@ -144,10 +143,8 @@ def parse_ddi_xml(stream: TextIO) -> tuple[list[SentenceRecord], list[GoldRelati
                     raise MalformedXml(f"pair references unknown entity in {sent_id}")
                 relations.append(
                     GoldRelation(
-                        doc_id=doc_id,
                         e1_kb_id=by_entity_id[e1].kb_id,
                         e2_kb_id=by_entity_id[e2].kb_id,
-                        level="sentence",
                         sentence_id=sent_id,
                         label="positive" if pair.get("ddi") == "true" else "negative",
                     )
@@ -182,7 +179,8 @@ def parse_pgr_tsv(
     truthy_tokens: Iterable[str] = DEFAULT_TRUTHY_TOKENS,
 ) -> tuple[list[SentenceRecord], list[GoldRelation]]:
     """Parse gene-phenotype rows; one relation per row, sentences deduplicated
-    by sentence id.  Offsets are sentence-local, 0-based, end-exclusive."""
+    by sentence id.  A row that repeats a sentence id must repeat its text.
+    Offsets are sentence-local, 0-based, end-exclusive."""
     for key in PGR_REQUIRED_KEYS:
         if key not in column_map:
             raise MissingColumn(f"column map lacks {key}")
@@ -240,6 +238,8 @@ def parse_pgr_tsv(
         if record is None:
             record = SentenceRecord(sentence_id=sent_id, doc_id=doc_id, text=text)
             sentences[sent_id] = record
+        elif record.text != text:
+            raise MalformedLine(f"row {lineno}: sentence {sent_id} repeats with a different text")
         try:
             g_start, g_end = int(cell(cols, "gene_start")), int(cell(cols, "gene_end"))
             p_start, p_end = int(cell(cols, "phenotype_start")), int(cell(cols, "phenotype_end"))
@@ -251,10 +251,8 @@ def parse_pgr_tsv(
                            "phenotype", cell(cols, "phenotype_id"))
         relations.append(
             GoldRelation(
-                doc_id=doc_id,
                 e1_kb_id=gene.kb_id,
                 e2_kb_id=phen.kb_id,
-                level="sentence",
                 sentence_id=sent_id,
                 label="positive" if cell(cols, "relation").strip() in truthy else "negative",
             )
@@ -285,7 +283,7 @@ def parse_pubtator(
         title = ""
         abstract = ""
         mention_rows: list[tuple[int, list[str]]] = []
-        relation_rows: list[tuple[int, list[str]]] = []
+        cid_pairs: list[tuple[str, str]] = []
         for lineno, line in block:
             if "|t|" in line and "\t" not in line:
                 doc_id, _, title = line.partition("|t|")
@@ -298,7 +296,10 @@ def parse_pubtator(
             if len(cols) >= 6:
                 mention_rows.append((lineno, cols))
             elif len(cols) == 4:
-                relation_rows.append((lineno, cols))
+                if cols[1] == "CID":
+                    cid_pairs.append((cols[2], cols[3]))
+                elif diagnostics is not None:
+                    diagnostics["unknown_relation_tag"] += 1
             else:
                 raise MalformedLine(f"PubTator line {lineno}: {len(cols)} tab fields")
         if doc_id is None:
@@ -323,23 +324,7 @@ def parse_pubtator(
                     kb_id=kb_id,
                 )
             )
-        relations: list[GoldRelation] = []
-        for lineno, cols in relation_rows:
-            if cols[1] != "CID":
-                if diagnostics is not None:
-                    diagnostics["unknown_relation_tag"] += 1
-                continue
-            relations.append(
-                GoldRelation(
-                    doc_id=doc_id,
-                    e1_kb_id=cols[2],
-                    e2_kb_id=cols[3],
-                    level="document",
-                    sentence_id=None,
-                    label="positive",
-                )
-            )
-        documents.append(PubTatorDocument(doc_id, text, mentions, relations))
+        documents.append(PubTatorDocument(doc_id, text, mentions, cid_pairs))
         block.clear()
 
     for lineno, raw in enumerate(stream, start=1):
@@ -400,14 +385,15 @@ def project_document_relations(
     spans: list[tuple[int, int]],
     diagnostics: Counter[str] | None = None,
 ) -> tuple[list[SentenceRecord], list[GoldRelation]]:
-    """Project document-level CID relations onto sentences.
+    """Project a document's CID pairs onto its sentences.
 
     Every co-sentential (chemical, disease) mention pair becomes a labeled
-    sentence-level relation: positive when the kb-id pair appears in a CID
-    relation, negative otherwise (closed world).  One relation is emitted
-    per mention pair, so counts are |chemicals| x |diseases| per sentence.
+    sentence-level relation: positive when the kb-id pair is one of the
+    document's CID pairs, negative otherwise (closed world).  One relation
+    is emitted per mention pair, so counts are |chemicals| x |diseases| per
+    sentence.
     """
-    cid_pairs = {(r.e1_kb_id, r.e2_kb_id) for r in document.relations}
+    cid_pairs = set(document.cid_pairs)
     sentences: list[SentenceRecord] = []
     relations: list[GoldRelation] = []
     for k, (s, e) in enumerate(spans):
@@ -436,10 +422,8 @@ def project_document_relations(
             for d in diseases:
                 relations.append(
                     GoldRelation(
-                        doc_id=document.doc_id,
                         e1_kb_id=c.kb_id,
                         e2_kb_id=d.kb_id,
-                        level="sentence",
                         sentence_id=sent_id,
                         label="positive" if (c.kb_id, d.kb_id) in cid_pairs else "negative",
                     )

@@ -17,6 +17,7 @@ from typing import Iterable, TextIO
 from . import ontology
 from .corpus import EntityMention, GoldRelation, SentenceRecord
 from .errors import (
+    DataError,
     Disconnected,
     MalformedConllu,
     MalformedLine,
@@ -473,15 +474,14 @@ def generate_instances(
     kb-id pair; enumerated pairs without a gold entry are negative under the
     closed-world reading.  With no relations at all, instances are emitted
     unlabeled (prediction mode).  Pairs sharing a kb id are skipped.  Emission
-    order is sorted by (sentence_id, mention ids).
+    order is sorted by (sentence_id, mention ids).  An instance id that would
+    be emitted twice (a sentence or document listed twice) raises DataError.
     """
     if diagnostics is None:
         diagnostics = Counter()
     labeled_mode = bool(relations)
     label_index: dict[str, dict[tuple[str, str], str]] = {}
     for r in relations:
-        if r.level != "sentence" or r.sentence_id is None:
-            continue
         per_sentence = label_index.setdefault(r.sentence_id, {})
         key = tuple(sorted((r.e1_kb_id, r.e2_kb_id)))
         # a positive assertion wins over a duplicate negative one
@@ -489,6 +489,7 @@ def generate_instances(
             per_sentence[key] = r.label
 
     instances: list[Instance] = []
+    emitted: set[str] = set()
     for sentence in sentences:
         tokens = parses.get(sentence.sentence_id)
         per_sentence = label_index.get(sentence.sentence_id, {})
@@ -511,6 +512,9 @@ def generate_instances(
             except tuple(_SKIP_REASONS) as exc:
                 diagnostics[_SKIP_REASONS[type(exc)]] += 1
                 continue
+            if instance.instance_id in emitted:
+                raise DataError(f"instance id {instance.instance_id} would be emitted twice")
+            emitted.add(instance.instance_id)
             instances.append(instance)
     instances.sort(key=lambda i: (i.sentence_id, i.pair))
     return instances

@@ -38,17 +38,17 @@ EXPERIMENTAL_CODES = frozenset(
 class OntologyGraph:
     """Validated is_a DAG over non-obsolete concepts, as flat per-id tables.
 
-    `names` maps every primary id, obsolete ones included, to its name, in
-    file order.  `depth_map` maps each queryable id to its longest-path
-    distance from a root, and `query_parent_map` to its non-obsolete parents
-    in file order.  Every table stores one string per id, the key of `names`.
-    Obsolete ids are only in `names` and `obsolete`; queries reject them.  A
+    `ids` maps every primary id, obsolete ones included, to itself, in file
+    order.  `depth_map` maps each queryable id to its longest-path distance
+    from a root, and `query_parent_map` to its non-obsolete parents in file
+    order.  Every table stores one string per id, the key of `ids`.
+    Obsolete ids are only in `ids` and `obsolete`; queries reject them.  A
     graph must not be changed after `parse_obo` builds it: `id_prefixes` is
     computed once and cached.
     """
 
     namespace: str
-    names: dict[str, str]
+    ids: dict[str, str]
     obsolete: frozenset[str]
     roots: set[str]
     depth_map: dict[str, int]
@@ -61,9 +61,9 @@ class OntologyGraph:
         Raises UnknownConcept / ObsoleteConcept when the id cannot be queried.
         """
         primary = concept_id
-        if primary not in self.names:
+        if primary not in self.ids:
             primary = self.alt_to_primary.get(primary, primary)
-        if primary not in self.names:
+        if primary not in self.ids:
             raise UnknownConcept(f"{concept_id} not in {self.namespace} ontology")
         if primary in self.obsolete:
             raise ObsoleteConcept(f"{concept_id} is obsolete")
@@ -82,50 +82,49 @@ class OntologyGraph:
     @cached_property
     def id_prefixes(self) -> frozenset[str]:
         return frozenset(
-            cid.split(":", 1)[0] if ":" in cid else "" for cid in self.names
+            cid.split(":", 1)[0] if ":" in cid else "" for cid in self.ids
         )
 
 
 def parse_obo(stream: Iterable[str] | TextIO, namespace: str = "custom") -> OntologyGraph:
     """Parse an OBO 1.2 flat file into an OntologyGraph.
 
-    Only [Term] stanzas are read, and only the keys id, name, alt_id, is_a
-    and is_obsolete; other keys and stanza types are ignored.  is_a values
-    keep the id before any "!" comment.  Each stanza goes into the graph's
-    per-id tables when the next header or the end of the file closes it.
-    Obsolete terms are kept in `names` and `obsolete` only.  Checks raise in
-    this order: a stanza with no id or two (MalformedStanza), a duplicate id
-    (DuplicateId), a dangling parent, a cycle, and no live term.
+    Only [Term] stanzas are read, and only the keys id, alt_id, is_a and
+    is_obsolete; other keys (name among them) and stanza types are ignored.
+    is_a values keep the id before any "!" comment.  Each stanza goes into
+    the graph's per-id tables when the next header or the end of the file
+    closes it.  Obsolete terms are kept in `ids` and `obsolete` only.
+    Checks raise in this order: a stanza with no id or two (MalformedStanza),
+    a duplicate id (DuplicateId), a dangling parent, a cycle, and no live
+    term.
     """
-    names: dict[str, str] = {}
     obsolete: set[str] = set()
     alt_to_primary: dict[str, str] = {}
     parent_map: dict[str, list[str]] = {}
     # Each primary id to itself: the one string every table stores for it.
-    own: dict[str, str] = {}
+    ids: dict[str, str] = {}
     duplicate: str | None = None
-    term = None  # the open [Term] stanza: [id, name, is_a values, alt ids, obsolete]
+    term = None  # the open [Term] stanza: [id, is_a values, alt ids, obsolete]
     for raw in chain(stream, ("[",)):  # the "[" closes the last stanza
         line = raw.strip()
         if line.startswith("["):
             if term is not None:
-                cid, name, parents, alts, dead = term
+                cid, parents, alts, dead = term
                 if not cid:
                     raise MalformedStanza("[Term] stanza without an id")
                 # The first duplicate raises after the scan, so that a later
                 # stanza without an id still wins.
-                if duplicate is None and (cid in own or cid in alt_to_primary):
+                if duplicate is None and (cid in ids or cid in alt_to_primary):
                     duplicate = cid
-                own[cid] = cid
-                names[cid] = name
+                ids[cid] = cid
                 parent_map[cid] = parents
                 if dead:
                     obsolete.add(cid)
                 for alt in alts:
-                    if duplicate is None and (alt in alt_to_primary or alt in own):
+                    if duplicate is None and (alt in alt_to_primary or alt in ids):
                         duplicate = alt
                     alt_to_primary[alt] = cid
-            term = [None, "", [], [], False] if line == "[Term]" else None
+            term = [None, [], [], False] if line == "[Term]" else None
             continue
         key, sep, value = line.partition(":")
         if term is None or not sep:
@@ -135,26 +134,23 @@ def parse_obo(stream: Iterable[str] | TextIO, namespace: str = "custom") -> Onto
             if term[0] is not None:
                 raise MalformedStanza(f"[Term] stanza with two ids: {term[0]}, {value}")
             term[0] = value
-        elif key == "name":
-            term[1] = value
         elif key == "alt_id":
-            term[3].append(value)
+            term[2].append(value)
         elif key == "is_a":
             parent = value.split("!")[0].strip()
-            term[2].append(own.get(parent, parent))
+            term[1].append(ids.get(parent, parent))
         elif key == "is_obsolete":
-            term[4] = value.lower() == "true"
+            term[3] = value.lower() == "true"
     if duplicate is not None:
         raise DuplicateId(duplicate)
 
     # Point every parent reference, alt ids resolved, at its id's own string.
     for cid, parents in parent_map.items():
         for i, parent in enumerate(parents):
-            found = own.get(parent) or alt_to_primary.get(parent)
+            found = ids.get(parent) or alt_to_primary.get(parent)
             if found is None:
                 raise DanglingParent(f"{cid} is_a {parent}")
             parents[i] = found
-    del own
 
     # One iterative DFS over child->parent edges of every concept, obsolete
     # ones included.  A node back on top of the stack rescans its parents, all
@@ -194,7 +190,7 @@ def parse_obo(stream: Iterable[str] | TextIO, namespace: str = "custom") -> Onto
         raise DataError(f"{namespace} ontology has no non-obsolete term")
     return OntologyGraph(
         namespace=namespace,
-        names=names,
+        ids=ids,
         obsolete=frozenset(obsolete),
         roots=roots,
         depth_map=depth_map,

@@ -108,6 +108,18 @@ def _load_parses(
     return parses
 
 
+def _read_instances(path: str | Path) -> list[Instance]:
+    """Load an instances file whose instance ids are all distinct."""
+    with open(path, encoding="utf-8") as handle:
+        instances = inst_mod.load_instances(handle)
+    seen: set[str] = set()
+    for instance in instances:
+        if instance.instance_id in seen:
+            raise DataError(f"instance id {instance.instance_id} is listed twice in {path}")
+        seen.add(instance.instance_id)
+    return instances
+
+
 def _diagnostics_report(diagnostics: Counter[str]) -> str:
     merged = {reason: 0 for reason in CANONICAL_SKIP_REASONS}
     merged.update(diagnostics)
@@ -148,8 +160,7 @@ def cmd_train(
     """Train on a preprocessed instances file; writes the model file + history TSV."""
     model_path = Path(model_path)
     history_file = Path(history_path) if history_path else model_path.with_suffix(".history.tsv")
-    with open(instances_path, encoding="utf-8") as handle:
-        instances = inst_mod.load_instances(handle)
+    instances = _read_instances(instances_path)
     if not instances:
         raise DataError("no instances to train on")
     train_instances, dev_instances = split_dataset(
@@ -187,9 +198,7 @@ def _load_for_inference(
 ) -> tuple[ModelParams, Encoder, list[Instance]]:
     with open(model_path, encoding="utf-8") as handle:
         params, vocabs = model_mod.load_model(handle)
-    with open(instances_path, encoding="utf-8") as handle:
-        instances = inst_mod.load_instances(handle)
-    return params, Encoder(params.specs, vocabs), instances
+    return params, Encoder(params.specs, vocabs), _read_instances(instances_path)
 
 
 def cmd_evaluate(
@@ -203,11 +212,6 @@ def cmd_evaluate(
     if not instances:
         raise DataError("no instances to evaluate")
     data = encoder.encode(instances)
-    seen: set[str] = set()
-    for instance_id in data.instance_ids:
-        if instance_id in seen:
-            raise DataError(f"instance id {instance_id} is listed twice in {instances_path}")
-        seen.add(instance_id)
     require_labeled(data.labels, str(instances_path))  # before the forward pass
     metrics = score(model_mod.forward(params, data.ids)[:, 1], data.labels, threshold)
     configuration = "+".join(s.name for s in params.specs)

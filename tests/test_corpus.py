@@ -51,7 +51,6 @@ def test_parse_ddi_xml_fixture(fixtures):
     assert [r.label for r in relations] == ["positive", "positive", "negative"]
     assert relations[0].e1_kb_id == "Aspirin"
     assert relations[0].e2_kb_id == "warfarin"
-    assert relations[0].level == "sentence"
     assert relations[0].sentence_id == "DDI-FIX.d0.s0"
 
 
@@ -198,7 +197,7 @@ def test_parse_pubtator_fixture(fixtures):
         assert doc.text[mention.char_start:mention.char_end] == mention.surface
     kinds = {m.entity_type for m in doc.mentions}
     assert kinds == {"chemical", "disease"}
-    assert [(r.e1_kb_id, r.e2_kb_id) for r in doc.relations] == [
+    assert doc.cid_pairs == [
         ("D002945", "D007674"), ("D002945", "D010033"),
     ]
     assert diagnostics == {}
@@ -213,7 +212,7 @@ def test_pubtator_non_cid_tag_is_counted_and_ignored():
     )
     diagnostics = Counter()
     documents = corpus.parse_pubtator(io.StringIO(text), diagnostics)
-    assert documents[0].relations == []
+    assert documents[0].cid_pairs == []
     assert diagnostics["unknown_relation_tag"] == 1
 
 
@@ -318,7 +317,7 @@ def test_projection_counts_uncovered_mentions():
                 surface="beta. Gamma", entity_type="chemical", kb_id="D1",
             )
         ],
-        relations=[],
+        cid_pairs=[],
     )
     spans = corpus.segment_sentences(doc.text)
     assert len(spans) == 2

@@ -560,8 +560,8 @@ def test_duplicate_gold_positive_wins(ddi_data, ddi_resolver, lexicon):
     sentences, relations, parses = ddi_data
     flipped = [r for r in relations]
     negative_dup = corpus_mod.GoldRelation(
-        doc_id="DDI-FIX.d0", e1_kb_id="warfarin", e2_kb_id="Aspirin",
-        level="sentence", sentence_id="DDI-FIX.d0.s0", label="negative",
+        e1_kb_id="warfarin", e2_kb_id="Aspirin",
+        sentence_id="DDI-FIX.d0.s0", label="negative",
     )
     # the duplicate negative must not override the positive, in either order
     for ordering in ([negative_dup] + flipped, flipped + [negative_dup]):

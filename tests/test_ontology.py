@@ -1,5 +1,7 @@
 """Ontology parsing, ancestry queries, GAF records, representative concepts."""
+import gc
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,8 +35,7 @@ def parse(text, namespace="custom"):
 
 
 def test_parse_obo_reads_terms_and_names(chebi):
-    assert "CHEBI:24431" in chebi.names
-    assert chebi.names["CHEBI:10033"] == "warfarin"
+    assert "CHEBI:24431" in chebi.ids
     assert chebi.query_parents("CHEBI:10033") == ["CHEBI:23888", "CHEBI:38147"]
     assert chebi.namespace == "chebi"
     assert chebi.roots == {"CHEBI:24431"}
@@ -49,7 +50,7 @@ def test_parse_obo_ignores_non_term_stanzas():
     graph = parse(
         "[Typedef]\nid: part_of\n\n[Term]\nid: A:1\nname: only\n"
     )
-    assert list(graph.names) == ["A:1"]
+    assert list(graph.ids) == ["A:1"]
 
 
 @pytest.mark.parametrize("text", [
@@ -74,7 +75,7 @@ def test_unknown_concept_raises(chebi):
 
 
 def test_obsolete_concept_rejected_but_retained(chebi):
-    assert "CHEBI:99999" in chebi.names
+    assert "CHEBI:99999" in chebi.ids
     assert "CHEBI:99999" not in chebi.depth_map
     with pytest.raises(ObsoleteConcept):
         chebi.resolve("CHEBI:99999")
@@ -228,7 +229,7 @@ def test_parse_obo_matches_reference_parser_on_seeded_random_texts():
         text = random_obo_text(rng)
         want = reference_parse_obo(text)
         graph = parse(text)
-        assert list(graph.names.items()) == list(want["names"].items())
+        assert list(graph.ids) == list(want["names"])
         assert graph.obsolete == want["obsolete"]
         assert graph.alt_to_primary == want["alt_to_primary"]
         assert list(graph.query_parent_map.items()) == list(want["query_parent_map"].items())
@@ -262,20 +263,65 @@ def test_planted_faults_together_raise_the_reference_exception():
 
 
 def test_parsed_tables_share_one_string_per_id_and_hold_no_per_term_object(chebi):
-    # Every table refers to an id through the one string that keys `names`;
+    # Every table refers to an id through the one string that keys `ids`;
     # a parse that stores each is_a value as read, or a per-term object,
     # holds about twice the memory on a ChEBI-sized file and fails here.
     for graph in (chebi, parse(random_obo_text(np.random.default_rng(7)))):
-        own = {cid: cid for cid in graph.names}
+        own = graph.ids
         refs = [*graph.query_parent_map, *graph.depth_map, *graph.roots, *graph.obsolete,
                 *graph.alt_to_primary.values()]
         refs += [p for parents in graph.query_parent_map.values() for p in parents]
         assert all(cid is own[cid] for cid in refs)
-        assert all(type(name) is str for name in graph.names.values())
+        assert all(type(cid) is str and cid is own[cid] for cid in own)
         assert all(type(d) is int for d in graph.depth_map.values())
         assert all(type(parents) is list and all(type(p) is str for p in parents)
                    for parents in graph.query_parent_map.values())
     assert not hasattr(ontology, "OntologyConcept")
+
+
+def named_obo_text(n_terms, name_of, names_per_term=1):
+    """A tree of `n_terms` terms, T:i is_a T:(i // 2), each with its names."""
+    lines = ["format-version: 1.2", ""]
+    for i in range(n_terms):
+        lines += ["[Term]", f"id: T:{i:07d}"]
+        lines += [f"name: {name_of(i)}"] * names_per_term
+        if i:
+            lines.append(f"is_a: T:{i // 2:07d} ! parent")
+        lines.append("")
+    return "\n".join(lines)
+
+
+def held_bytes(text):
+    """Bytes the parsed graph of `text` holds, as tracemalloc counts them."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = parse(text)  # alive while measured
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_parsed_graph_holds_no_term_names():
+    # No stage reads a term's name, so 400-character names must cost the
+    # graph no more than 8-character ones; a parse that keeps each name
+    # holds about 1.2 MB more here.
+    short = named_obo_text(3000, lambda i: f"n{i:07d}")
+    long = named_obo_text(3000, lambda i: f"n{i:07d}".ljust(400, "x"))
+    parse(short)  # warm any cache the first parse fills
+    short_bytes, long_bytes = held_bytes(short), held_bytes(long)
+    assert abs(long_bytes - short_bytes) < 0.01 * short_bytes
+
+
+def test_name_lines_do_not_change_the_parsed_tables():
+    tables = []
+    for names_per_term in (0, 1, 2):
+        graph = parse(named_obo_text(50, str, names_per_term))
+        tables.append((list(graph.ids), graph.obsolete, graph.alt_to_primary,
+                       list(graph.query_parent_map.items()), graph.depth_map, graph.roots))
+    assert tables[0] == tables[1] == tables[2]
 
 
 # --- ancestry ----------------------------------------------------------------

@@ -423,6 +423,64 @@ def test_cli_evaluate_duplicated_instance_id_exits_two(fixtures, tmp_path, capsy
     assert not metrics.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_cli_train_and_predict_refuse_a_duplicated_instance_id(
+        fixtures, tmp_path, capsys, command):
+    # only evaluate refused a repeated id; train and predict read it as two rows
+    assert full_run(fixtures, tmp_path) == [0, 0, 0, 0]
+    instances = tmp_path / "instances.jsonl"
+    lines = instances.read_text(encoding="utf-8").splitlines(keepends=True)
+    instances.write_text("".join(lines + lines[1:2]), encoding="utf-8")
+    instance_id = json.loads(lines[1])["instance_id"]
+    out = tmp_path / f"repeated.{command}"
+    if command == "train":
+        argv = ["--config", str(fixtures / "ddi.config.json"), "--model", str(out)]
+    else:
+        argv = ["--model", str(tmp_path / "model.json"), "--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(command, "--in", str(instances), *argv) == 2
+    err = capsys.readouterr().err
+    assert f"instance id {instance_id} is listed twice in {instances}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert not out.with_suffix(".history.tsv").exists()
+
+
+def document_twice(fixtures, tmp_path, corpus):
+    """The fixture corpus with its one document listed twice: the DDI copy
+    under a second document id, the PubTator copy as it is."""
+    if corpus == "ddi":
+        text = (fixtures / "ddi_corpus.xml").read_text(encoding="utf-8")
+        declaration, _, document = text.partition("\n")
+        copy = document.replace('id="DDI-FIX.d0"', 'id="DDI-FIX.d1"', 1)
+        path = tmp_path / "ddi_corpus.xml"
+        path.write_text(f"{declaration}\n<corpus>\n{document}{copy}</corpus>\n",
+                        encoding="utf-8")
+    else:
+        text = (fixtures / "cdr_corpus.txt").read_text(encoding="utf-8")
+        path = tmp_path / "cdr_corpus.txt"
+        path.write_text(text + "\n" + text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("corpus, instance_id", [
+    ("ddi", "DDI-FIX.d0.s0.e0__DDI-FIX.d0.s0.e1"),
+    ("cdr", "100.s0.e0__100.s0.e1"),
+])
+def test_cli_preprocess_refuses_a_document_listed_twice(
+        fixtures, tmp_path, capsys, corpus, instance_id):
+    # preprocess wrote each instance twice, under one id, and exited 0
+    config = materialize_config(
+        fixtures, tmp_path, f"{corpus}.config.json",
+        mutate={"corpus_path": str(document_twice(fixtures, tmp_path, corpus))})
+    out = tmp_path / "x.jsonl"
+    assert run_cli("preprocess", "--config", str(config), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: instance id {instance_id} would be emitted twice" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_cli_usage_error_exits_one(capsys):
     assert run_cli("transmogrify") == 1
     assert run_cli("train", "--config") == 1
@@ -523,6 +581,22 @@ def test_cli_pgr_row_short_of_mapped_doc_id_exits_two(fixtures, tmp_path, capsys
                    "--out", str(tmp_path / "x.jsonl")) == 2
     err = capsys.readouterr().err
     assert "row too short for column 'pmid'" in err
+    assert "Traceback" not in err
+
+
+def test_cli_pgr_sentence_id_repeated_with_another_text_exits_two(fixtures, tmp_path, capsys):
+    # the repeated row was merged into the first one and its text dropped
+    tsv = tmp_path / "pgr_corpus.tsv"
+    row = "\t".join(["PGR.s0", "BRCA1 mutations stop blindness.", "672", "BRCA1", "0", "5",
+                     "HP:0000618", "blindness", "21", "30", "TRUE"])
+    tsv.write_text((fixtures / "pgr_corpus.tsv").read_text(encoding="utf-8") + row + "\n",
+                   encoding="utf-8")
+    config = materialize_config(fixtures, tmp_path, "pgr.config.json",
+                                mutate={"corpus_path": str(tsv)})
+    assert run_cli("preprocess", "--config", str(config),
+                   "--out", str(tmp_path / "x.jsonl")) == 2
+    err = capsys.readouterr().err
+    assert "error: row 5: sentence PGR.s0 repeats with a different text" in err
     assert "Traceback" not in err
 
 
