@@ -8,8 +8,8 @@ Three annotated input formats are supported:
 * PubTator abstracts (title/abstract lines, mention lines, CID relation
   lines) whose document-level CID pairs are projected down to sentences.
 
-Every corpus reaches instance generation in the same two shapes:
-SentenceRecord and sentence-level GoldRelation.
+Every corpus reaches instance generation in the same shape: SentenceRecords
+that each carry their own gold, plus whether the input carries gold at all.
 """
 
 from __future__ import annotations
@@ -27,29 +27,20 @@ _DDI_TYPE_MAP = {"drug": "drug", "brand": "drug", "group": "drug", "drug_n": "dr
 @dataclass
 class EntityMention:
     mention_id: str
-    sentence_id: str
     char_start: int
     char_end: int
     surface: str
     entity_type: str
     kb_id: str
-    discontinuous: bool = False
 
 
 @dataclass
 class SentenceRecord:
     sentence_id: str
-    doc_id: str
     text: str
     entities: list[EntityMention] = field(default_factory=list)
-
-
-@dataclass
-class GoldRelation:
-    e1_kb_id: str
-    e2_kb_id: str
-    sentence_id: str
-    label: str  # positive | negative
+    # pair_key of every kb-id pair the corpus asserts positive in this sentence
+    positives: set[tuple[str, str]] = field(default_factory=set)
 
 
 @dataclass
@@ -58,6 +49,11 @@ class PubTatorDocument:
     text: str
     mentions: list[EntityMention]
     cid_pairs: list[tuple[str, str]]  # (chemical, disease) kb ids, file order
+
+
+def pair_key(kb_id1: str, kb_id2: str) -> tuple[str, str]:
+    """The unordered kb-id pair gold is stored and looked up under."""
+    return (kb_id1, kb_id2) if kb_id1 <= kb_id2 else (kb_id2, kb_id1)
 
 
 def _check_surface(surface: str, text: str, start: int, end: int, where: str) -> None:
@@ -83,13 +79,14 @@ def _parse_char_offset(value: str) -> tuple[int, int, bool]:
     return start, end, discontinuous
 
 
-def parse_ddi_xml(stream: TextIO) -> tuple[list[SentenceRecord], list[GoldRelation]]:
-    """Parse drug-interaction XML into sentences and sentence-level relations.
+def parse_ddi_xml(stream: TextIO) -> tuple[list[SentenceRecord], bool]:
+    """Parse drug-interaction XML into sentences, and whether any pair
+    element labels them.
 
     Entities have no knowledge-base ids in this format, so kb_id is the
     surface text; a run-level cross-reference table maps names to ontology
-    ids later.  One GoldRelation is emitted per pair element, positive iff
-    ddi="true".
+    ids later.  A pair element with ddi="true" makes its kb-id pair positive
+    in its sentence.  A sentence id may repeat only with the same text.
     """
     try:
         root = ET.parse(stream).getroot()
@@ -101,7 +98,8 @@ def parse_ddi_xml(stream: TextIO) -> tuple[list[SentenceRecord], list[GoldRelati
         raise MalformedXml("no document element")
 
     sentences: list[SentenceRecord] = []
-    relations: list[GoldRelation] = []
+    texts: dict[str, str] = {}
+    labeled = False
     for doc in documents:
         doc_id = doc.get("id")
         if doc_id is None:
@@ -111,8 +109,10 @@ def parse_ddi_xml(stream: TextIO) -> tuple[list[SentenceRecord], list[GoldRelati
             text = sent.get("text")
             if sent_id is None or text is None:
                 raise MalformedXml(f"sentence missing id or text in {doc_id}")
-            record = SentenceRecord(sentence_id=sent_id, doc_id=doc_id, text=text)
-            by_entity_id: dict[str, EntityMention] = {}
+            if texts.setdefault(sent_id, text) != text:
+                raise MalformedXml(f"sentence {sent_id} repeats with a different text")
+            record = SentenceRecord(sentence_id=sent_id, text=text)
+            kb_ids: dict[str, str] = {}  # entity id -> kb id
             for ent in sent.iter("entity"):
                 ent_id = ent.get("id")
                 offset = ent.get("charOffset")
@@ -121,41 +121,32 @@ def parse_ddi_xml(stream: TextIO) -> tuple[list[SentenceRecord], list[GoldRelati
                 if ent_id is None or offset is None or ent_text is None:
                     raise MalformedXml(f"entity missing attributes in {sent_id}")
                 start, end, discontinuous = _parse_char_offset(offset)
-                surface = text[start:end]
                 if not discontinuous:
                     _check_surface(ent_text, text, start, end, f"entity {ent_id}")
-                mention = EntityMention(
+                record.entities.append(EntityMention(
                     mention_id=ent_id,
-                    sentence_id=sent_id,
                     char_start=start,
                     char_end=end,
-                    surface=surface,
+                    surface=text[start:end],
                     entity_type=_DDI_TYPE_MAP.get(ent_type, ent_type),
                     kb_id=ent_text,
-                    discontinuous=discontinuous,
-                )
-                record.entities.append(mention)
-                by_entity_id[ent_id] = mention
+                ))
+                kb_ids[ent_id] = ent_text
             sentences.append(record)
             for pair in sent.iter("pair"):
                 e1, e2 = pair.get("e1"), pair.get("e2")
-                if e1 not in by_entity_id or e2 not in by_entity_id:
+                if e1 not in kb_ids or e2 not in kb_ids:
                     raise MalformedXml(f"pair references unknown entity in {sent_id}")
-                relations.append(
-                    GoldRelation(
-                        e1_kb_id=by_entity_id[e1].kb_id,
-                        e2_kb_id=by_entity_id[e2].kb_id,
-                        sentence_id=sent_id,
-                        label="positive" if pair.get("ddi") == "true" else "negative",
-                    )
-                )
-    return sentences, relations
+                labeled = True
+                if pair.get("ddi") == "true":
+                    record.positives.add(pair_key(kb_ids[e1], kb_ids[e2]))
+    return sentences, labeled
 
 
 # --- gene-phenotype TSV -----------------------------------------------------
 
-# Semantic keys the column map must provide.  doc_id is optional and
-# defaults to the sentence id.
+# Semantic keys the column map must provide.  A column mapped under any
+# other key is not read, but every row must still reach it.
 PGR_REQUIRED_KEYS = (
     "sentence_id",
     "sentence_text",
@@ -177,10 +168,12 @@ def parse_pgr_tsv(
     stream: Iterable[str] | TextIO,
     column_map: dict[str, str],
     truthy_tokens: Iterable[str] = DEFAULT_TRUTHY_TOKENS,
-) -> tuple[list[SentenceRecord], list[GoldRelation]]:
-    """Parse gene-phenotype rows; one relation per row, sentences deduplicated
-    by sentence id.  A row that repeats a sentence id must repeat its text.
-    Offsets are sentence-local, 0-based, end-exclusive."""
+) -> tuple[list[SentenceRecord], bool]:
+    """Parse gene-phenotype rows into sentences, and whether any row labels
+    them.  Each row lists one mention pair, positive when its relation cell
+    is truthy; sentences are deduplicated by sentence id, and a row that
+    repeats a sentence id must repeat its text.  Offsets are sentence-local,
+    0-based, end-exclusive."""
     for key in PGR_REQUIRED_KEYS:
         if key not in column_map:
             raise MissingColumn(f"column map lacks {key}")
@@ -190,21 +183,16 @@ def parse_pgr_tsv(
     try:
         header = next(lines).rstrip("\n").split("\t")
     except StopIteration:
-        return [], []
+        return [], False
     index: dict[str, int] = {}
     for key, column in column_map.items():
         if column not in header:
             raise MissingColumn(f"column {column!r} (for {key}) not in header")
         index[key] = header.index(column)
-
-    def cell(cols: list[str], key: str) -> str:
-        i = index[key]
-        if i >= len(cols):
-            raise MalformedLine(f"row too short for column {column_map[key]!r}")
-        return cols[i]
+    width = max(index.values()) + 1
 
     sentences: dict[str, SentenceRecord] = {}
-    relations: list[GoldRelation] = []
+    labeled = False
 
     def add_mention(record: SentenceRecord, start: int, end: int, surface: str,
                     entity_type: str, kb_id: str) -> EntityMention:
@@ -216,7 +204,6 @@ def parse_pgr_tsv(
                 return existing
         mention = EntityMention(
             mention_id=f"{record.sentence_id}.e{len(record.entities)}",
-            sentence_id=record.sentence_id,
             char_start=start,
             char_end=end,
             surface=surface,
@@ -231,33 +218,26 @@ def parse_pgr_tsv(
         if not line.strip():
             continue
         cols = line.split("\t")
-        sent_id = cell(cols, "sentence_id")
-        text = cell(cols, "sentence_text")
-        doc_id = cell(cols, "doc_id") if "doc_id" in index else sent_id
-        record = sentences.get(sent_id)
-        if record is None:
-            record = SentenceRecord(sentence_id=sent_id, doc_id=doc_id, text=text)
-            sentences[sent_id] = record
-        elif record.text != text:
+        if len(cols) < width:
+            column = header[min(i for i in index.values() if i >= len(cols))]
+            raise MalformedLine(f"row {lineno}: row too short for column {column!r}")
+        row = {key: cols[i] for key, i in index.items()}
+        sent_id, text = row["sentence_id"], row["sentence_text"]
+        record = sentences.setdefault(sent_id, SentenceRecord(sentence_id=sent_id, text=text))
+        if record.text != text:
             raise MalformedLine(f"row {lineno}: sentence {sent_id} repeats with a different text")
         try:
-            g_start, g_end = int(cell(cols, "gene_start")), int(cell(cols, "gene_end"))
-            p_start, p_end = int(cell(cols, "phenotype_start")), int(cell(cols, "phenotype_end"))
+            g_start, g_end = int(row["gene_start"]), int(row["gene_end"])
+            p_start, p_end = int(row["phenotype_start"]), int(row["phenotype_end"])
         except ValueError as exc:
             raise MalformedLine(f"row {lineno}: non-integer offset") from exc
-        gene = add_mention(record, g_start, g_end, cell(cols, "gene_surface"),
-                           "gene", cell(cols, "gene_id"))
-        phen = add_mention(record, p_start, p_end, cell(cols, "phenotype_surface"),
-                           "phenotype", cell(cols, "phenotype_id"))
-        relations.append(
-            GoldRelation(
-                e1_kb_id=gene.kb_id,
-                e2_kb_id=phen.kb_id,
-                sentence_id=sent_id,
-                label="positive" if cell(cols, "relation").strip() in truthy else "negative",
-            )
-        )
-    return list(sentences.values()), relations
+        gene = add_mention(record, g_start, g_end, row["gene_surface"], "gene", row["gene_id"])
+        phen = add_mention(record, p_start, p_end, row["phenotype_surface"],
+                           "phenotype", row["phenotype_id"])
+        labeled = True
+        if row["relation"].strip() in truthy:
+            record.positives.add(pair_key(gene.kb_id, phen.kb_id))
+    return list(sentences.values()), labeled
 
 
 # --- PubTator ---------------------------------------------------------------
@@ -316,7 +296,6 @@ def parse_pubtator(
             mentions.append(
                 EntityMention(
                     mention_id=f"{doc_id}.m{len(mentions)}",
-                    sentence_id="",
                     char_start=start,
                     char_end=end,
                     surface=surface,
@@ -384,50 +363,38 @@ def project_document_relations(
     document: PubTatorDocument,
     spans: list[tuple[int, int]],
     diagnostics: Counter[str] | None = None,
-) -> tuple[list[SentenceRecord], list[GoldRelation]]:
+) -> tuple[list[SentenceRecord], bool]:
     """Project a document's CID pairs onto its sentences.
 
-    Every co-sentential (chemical, disease) mention pair becomes a labeled
-    sentence-level relation: positive when the kb-id pair is one of the
-    document's CID pairs, negative otherwise (closed world).  One relation
-    is emitted per mention pair, so counts are |chemicals| x |diseases| per
-    sentence.
+    A CID pair is positive in each sentence where both its chemical and its
+    disease are mentioned.  The result is labeled when some sentence holds
+    both a chemical and a disease: instance generation then reads every
+    other co-sentential pair as negative (closed world).
     """
-    cid_pairs = set(document.cid_pairs)
     sentences: list[SentenceRecord] = []
-    relations: list[GoldRelation] = []
+    labeled = False
     for k, (s, e) in enumerate(spans):
         sent_id = f"{document.doc_id}.s{k}"
-        record = SentenceRecord(
-            sentence_id=sent_id, doc_id=document.doc_id, text=document.text[s:e]
-        )
+        record = SentenceRecord(sentence_id=sent_id, text=document.text[s:e])
         local = [m for m in document.mentions if s <= m.char_start and m.char_end <= e]
         for j, m in enumerate(sorted(local, key=lambda m: (m.char_start, m.char_end))):
             record.entities.append(
                 EntityMention(
                     mention_id=f"{sent_id}.e{j}",
-                    sentence_id=sent_id,
                     char_start=m.char_start - s,
                     char_end=m.char_end - s,
                     surface=m.surface,
                     entity_type=m.entity_type,
                     kb_id=m.kb_id,
-                    discontinuous=m.discontinuous,
                 )
             )
         sentences.append(record)
-        chemicals = [m for m in record.entities if m.entity_type == "chemical"]
-        diseases = [m for m in record.entities if m.entity_type == "disease"]
-        for c in chemicals:
-            for d in diseases:
-                relations.append(
-                    GoldRelation(
-                        e1_kb_id=c.kb_id,
-                        e2_kb_id=d.kb_id,
-                        sentence_id=sent_id,
-                        label="positive" if (c.kb_id, d.kb_id) in cid_pairs else "negative",
-                    )
-                )
+        chemicals = {m.kb_id for m in local if m.entity_type == "chemical"}
+        diseases = {m.kb_id for m in local if m.entity_type == "disease"}
+        labeled = labeled or bool(chemicals and diseases)
+        record.positives = {
+            pair_key(c, d) for c, d in document.cid_pairs if c in chemicals and d in diseases
+        }
     covered = sum(
         1
         for m in document.mentions
@@ -435,4 +402,4 @@ def project_document_relations(
     )
     if diagnostics is not None and covered < len(document.mentions):
         diagnostics["mention_outside_sentence"] += len(document.mentions) - covered
-    return sentences, relations
+    return sentences, labeled

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 from . import ontology
-from .corpus import EntityMention, GoldRelation, SentenceRecord
+from .corpus import EntityMention, SentenceRecord, pair_key
 from .errors import (
     DataError,
     Disconnected,
@@ -461,7 +461,7 @@ def _candidate_pairs(
 
 def generate_instances(
     sentences: list[SentenceRecord],
-    relations: list[GoldRelation],
+    labeled: bool,
     pair_types: tuple[str, str],
     resolver: EntityResolver,
     lexicon: SupersenseLexicon,
@@ -470,29 +470,19 @@ def generate_instances(
 ) -> list[Instance]:
     """Enumerate candidate pairs sentence by sentence and build instances.
 
-    Labels come from the sentence's gold relations, matched on the unordered
-    kb-id pair; enumerated pairs without a gold entry are negative under the
-    closed-world reading.  With no relations at all, instances are emitted
-    unlabeled (prediction mode).  Pairs sharing a kb id are skipped.  Emission
-    order is sorted by (sentence_id, mention ids).  An instance id that would
-    be emitted twice (a sentence or document listed twice) raises DataError.
+    A pair is positive when its pair_key is among its sentence's positives
+    and negative otherwise (closed world); when the corpus is not `labeled`
+    every instance is unlabeled (prediction mode).  Pairs sharing a kb id are
+    skipped.  Emission order is sorted by (sentence_id, mention ids).  An
+    instance id that would be emitted twice (a sentence or document listed
+    twice) raises DataError.
     """
     if diagnostics is None:
         diagnostics = Counter()
-    labeled_mode = bool(relations)
-    label_index: dict[str, dict[tuple[str, str], str]] = {}
-    for r in relations:
-        per_sentence = label_index.setdefault(r.sentence_id, {})
-        key = tuple(sorted((r.e1_kb_id, r.e2_kb_id)))
-        # a positive assertion wins over a duplicate negative one
-        if per_sentence.get(key) != "positive":
-            per_sentence[key] = r.label
-
     instances: list[Instance] = []
     emitted: set[str] = set()
     for sentence in sentences:
         tokens = parses.get(sentence.sentence_id)
-        per_sentence = label_index.get(sentence.sentence_id, {})
         for m1, m2 in _candidate_pairs(sentence, pair_types):
             if m1.kb_id == m2.kb_id:
                 diagnostics["self_pair"] += 1
@@ -500,11 +490,12 @@ def generate_instances(
             if tokens is None:
                 diagnostics["missing_parse"] += 1
                 continue
-            if labeled_mode:
-                key = tuple(sorted((m1.kb_id, m2.kb_id)))
-                label = per_sentence.get(key, "negative")
-            else:
+            if not labeled:
                 label = "unlabeled"
+            elif pair_key(m1.kb_id, m2.kb_id) in sentence.positives:
+                label = "positive"
+            else:
+                label = "negative"
             try:
                 instance = build_instance(
                     sentence, (m1, m2), resolver, lexicon, tokens, label, diagnostics

@@ -71,7 +71,8 @@ def _load_resolver(config: RunConfig) -> EntityResolver:
 
 def _read_corpus(
     config: RunConfig, diagnostics: Counter[str]
-) -> tuple[list[corpus_mod.SentenceRecord], list[corpus_mod.GoldRelation]]:
+) -> tuple[list[corpus_mod.SentenceRecord], bool]:
+    """The corpus's sentences, and whether it carries gold labels."""
     with open(config.corpus_path, encoding="utf-8") as handle:
         if config.corpus == "ddi":
             return corpus_mod.parse_ddi_xml(handle)
@@ -79,15 +80,15 @@ def _read_corpus(
             return corpus_mod.parse_pgr_tsv(handle, config.column_map, config.truthy_tokens)
         documents = corpus_mod.parse_pubtator(handle, diagnostics)
     sentences: list[corpus_mod.SentenceRecord] = []
-    relations: list[corpus_mod.GoldRelation] = []
+    labeled = False
     for document in documents:
         spans = corpus_mod.segment_sentences(
             document.text, [(m.char_start, m.char_end) for m in document.mentions]
         )
-        sent, rel = corpus_mod.project_document_relations(document, spans, diagnostics)
+        sent, doc_labeled = corpus_mod.project_document_relations(document, spans, diagnostics)
         sentences.extend(sent)
-        relations.extend(rel)
-    return sentences, relations
+        labeled = labeled or doc_labeled
+    return sentences, labeled
 
 
 def _load_parses(
@@ -139,11 +140,11 @@ def cmd_preprocess(
     resolver = _load_resolver(config)
     with open(config.lexicon, encoding="utf-8") as handle:
         lexicon = inst_mod.load_lexicon(handle)
-    sentences, relations = _read_corpus(config, diagnostics)
+    sentences, labeled = _read_corpus(config, diagnostics)
     parses = _load_parses(config, sentences, diagnostics)
     pair_types = inst_mod.CORPUS_PAIR_TYPES[config.corpus]
     instances = inst_mod.generate_instances(
-        sentences, relations, pair_types, resolver, lexicon, parses, diagnostics
+        sentences, labeled, pair_types, resolver, lexicon, parses, diagnostics
     )
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         inst_mod.dump_instances(instances, handle)

@@ -173,25 +173,97 @@ def test_training_reaches_perfect_f_on_separable_instances():
     assert time.perf_counter() - start < 60.0
 
 
-def test_document_projection_emits_recorded_pairs():
+# Which split each of a mid-level node's 12 leaves serves: no dev or test
+# leaf occurs in training, so each reaches the model as <oov>.
+TREE_LEAF_SPLITS = ["train"] * 6 + ["dev"] * 3 + ["test"] * 3
+
+
+def ontology_tree_splits(seed):
+    """Train (200), dev (100) and test (100) pairs over a 4-level tree:
+    root -> A, B -> 4 mid nodes each -> 12 leaves each.  Every pair has the
+    same path words; it is positive iff both its leaves sit under A, as half
+    the pairs of each split do.  Chains come from the OBO parse."""
+    obo = ["[Term]", "id: T:0"]
+    leaves = {}
+    for top in "AB":
+        obo += ["[Term]", f"id: T:{top}", "is_a: T:0"]
+        for k in range(4):
+            obo += ["[Term]", f"id: T:{top}{k}", f"is_a: T:{top}"]
+            for j, split in enumerate(TREE_LEAF_SPLITS):
+                obo += ["[Term]", f"id: T:{top}{k}.{j}", f"is_a: T:{top}{k}"]
+                leaves.setdefault((top, split), []).append(f"T:{top}{k}.{j}")
+    graph = ontology.parse_obo(io.StringIO("\n".join(obo) + "\n"), "tree")
+    rng = np.random.default_rng(seed)
+
+    def pairs(split, n):
+        out = []
+        for k in range(n):
+            tops = ("A", "A") if k % 2 == 0 else [("A", "B"), ("B", "A"), ("B", "B")][rng.integers(3)]
+            left, right = (leaves[top, split][rng.integers(len(leaves[top, split]))]
+                           for top in tops)
+            out.append(Instance(
+                instance_id=f"{split}{k}", sentence_id=f"{split}.s{k}",
+                pair=(f"{split}{k}.a", f"{split}{k}.b"),
+                sdp_tokens=["candidate1", "with", "candidate2"], sdp_classes=["O"] * 3,
+                left_chain=ontology.ancestor_chain(graph, left),
+                right_chain=ontology.ancestor_chain(graph, right),
+                common_chain=None, label="positive" if tops == ("A", "A") else "negative",
+            ))
+        return out
+
+    return pairs("train", 200), pairs("dev", 100), pairs("test", 100)
+
+
+def test_ontology_channel_generalizes_to_unseen_concepts():
+    # BiOnt's claim: a concept never seen in training still shares its
+    # ancestors with ones that were.  The words channel sees one path for
+    # every pair, so it can do no better than calling everything positive.
+    # Settings: onto_concat reached test F 1.0 on each of seeds 1-30, in
+    # 2.5-4 s a seed on a 2-core host; lr 0.7, or 200 epochs, stalled at 0.667
+    # on some seeds.  With the ontology channel's gradient zeroed, the dense
+    # layer alone reached at most 0.962 on those seeds, and 0.667 on seed 1.
+    start = time.perf_counter()
+    train, dev, test = ontology_tree_splits(seed=1)
+    all_positive_f = score(np.ones(len(test)), m.Encoder([], {}).encode(test).labels).f_score
+    config = m.TrainConfig(learning_rate=0.5, epochs=300, batch_size=20,
+                           dropout_keep=1.0, seed=1)
+    test_f = {}
+    for channel in ("onto_concat", "words"):
+        vocabs = m.build_vocabularies(train, [channel])
+        specs = [m.ChannelSpec(channel, len(vocabs[channel]), embed_dim=8, hidden_dim=8,
+                               max_len=8)]
+        encoder = m.Encoder(specs, vocabs)
+        best, _ = m.train(m.init_params(specs, dense_dim=8, seed=1), encoder.encode(train),
+                          encoder.encode(dev), config)
+        data = encoder.encode(test)
+        test_f[channel] = score(m.forward(best, data.ids)[:, 1], data.labels).f_score
+    assert all_positive_f == 2 / 3
+    assert test_f["onto_concat"] >= 0.99 > all_positive_f, test_f
+    assert test_f["words"] <= all_positive_f, test_f
+    assert time.perf_counter() - start < 30.0
+
+
+def test_document_projection_emits_recorded_pairs(tmp_path):
+    # the labels are decided in instance generation, so the recorded pairs
+    # are checked on the instances preprocess writes for the fixture
     with open(FIXTURES / "cdr_corpus.txt", encoding="utf-8") as handle:
         document = parse_pubtator(handle)[0]
     spans = segment_sentences(
         document.text, [(m_.char_start, m_.char_end) for m_ in document.mentions]
     )
-    _, relations = project_document_relations(document, spans)
+    sentences, _ = project_document_relations(document, spans)
+    mentions = {m_.mention_id: m_ for s in sentences for m_ in s.entities}
+    instances, _ = cmd_preprocess(load_config(FIXTURES / "cdr.config.json"),
+                                  tmp_path / "cdr.jsonl")
+    got = {"positive": [], "negative": []}
+    for instance in instances:
+        pair = sorted((mentions[mid] for mid in instance.pair),
+                      key=lambda m_: m_.entity_type != "chemical")
+        got[instance.label].append([instance.sentence_id] + [m_.kb_id for m_ in pair])
     expected = json.loads(
         (FIXTURES / "cdr_corpus.expected.json").read_text(encoding="utf-8")
     )
-    assert [
-        [r.sentence_id, r.e1_kb_id, r.e2_kb_id]
-        for r in relations if r.label == "positive"
-    ] == expected["positives"]
-    assert [
-        [r.sentence_id, r.e1_kb_id, r.e2_kb_id]
-        for r in relations if r.label == "negative"
-    ] == expected["negatives"]
-    assert len(relations) == len(expected["positives"]) + len(expected["negatives"])
+    assert got == {"positive": expected["positives"], "negative": expected["negatives"]}
 
 
 def test_gene_concept_choice_follows_priority_rules(go, gaf_records):

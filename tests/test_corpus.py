@@ -33,25 +33,22 @@ COLUMN_MAP = {
 
 def test_parse_ddi_xml_fixture(fixtures):
     with open(fixtures / "ddi_corpus.xml", encoding="utf-8") as handle:
-        sentences, relations = corpus.parse_ddi_xml(handle)
+        sentences, labeled = corpus.parse_ddi_xml(handle)
     assert [s.sentence_id for s in sentences] == ["DDI-FIX.d0.s0", "DDI-FIX.d0.s1"]
     s0 = sentences[0]
-    assert s0.doc_id == "DDI-FIX.d0"
     assert [m.surface for m in s0.entities] == ["Aspirin", "warfarin", "heparin"]
     aspirin = s0.entities[0]
     assert (aspirin.char_start, aspirin.char_end) == (0, 7)
     assert s0.text[aspirin.char_start:aspirin.char_end] == "Aspirin"
     assert aspirin.kb_id == "Aspirin"
-    assert aspirin.discontinuous is False
     # the second sentence's mention is typed "brand" in the file
     assert sentences[1].entities[0].entity_type == "drug"
     assert all(m.entity_type == "drug" for m in s0.entities)
 
-    assert len(relations) == 3
-    assert [r.label for r in relations] == ["positive", "positive", "negative"]
-    assert relations[0].e1_kb_id == "Aspirin"
-    assert relations[0].e2_kb_id == "warfarin"
-    assert relations[0].sentence_id == "DDI-FIX.d0.s0"
+    # two of the three pairs are ddi="true"; warfarin-heparin is not
+    assert labeled is True
+    assert s0.positives == {("Aspirin", "warfarin"), ("Aspirin", "heparin")}
+    assert sentences[1].positives == set()
 
 
 def test_ddi_inclusive_offsets_become_exclusive(fixtures):
@@ -80,7 +77,6 @@ def test_ddi_discontinuous_offset_keeps_first_span():
     sentences, _ = corpus.parse_ddi_xml(io.StringIO(xml))
     mention = sentences[0].entities[0]
     assert (mention.char_start, mention.char_end) == (0, 5)
-    assert mention.discontinuous is True
 
 
 def test_ddi_malformed_xml_raises():
@@ -105,9 +101,9 @@ def test_ddi_container_root_is_accepted():
         '<document id="d2"><sentence id="d2.s0" text="plain."/></document>'
         "</corpus>"
     )
-    sentences, relations = corpus.parse_ddi_xml(io.StringIO(xml))
+    sentences, labeled = corpus.parse_ddi_xml(io.StringIO(xml))
     assert len(sentences) == 2
-    assert relations == []
+    assert labeled is False
 
 
 # --- gene-phenotype TSV --------------------------------------------------------
@@ -115,7 +111,7 @@ def test_ddi_container_root_is_accepted():
 
 def test_parse_pgr_tsv_fixture(fixtures):
     with open(fixtures / "pgr_corpus.tsv", encoding="utf-8") as handle:
-        sentences, relations = corpus.parse_pgr_tsv(handle, COLUMN_MAP, ["TRUE"])
+        sentences, labeled = corpus.parse_pgr_tsv(handle, COLUMN_MAP, ["TRUE"])
     assert [s.sentence_id for s in sentences] == ["PGR.s0", "PGR.s1"]
     s1 = sentences[1]
     # TP53 appears in two rows with identical offsets: deduplicated
@@ -127,10 +123,10 @@ def test_parse_pgr_tsv_fixture(fixtures):
     phenos = sorted(m.surface for m in s1.entities if m.entity_type == "phenotype")
     assert phenos == ["deafness", "myopia"]
 
-    assert len(relations) == 3
-    assert [r.label for r in relations] == ["positive", "positive", "negative"]
-    assert relations[2].e1_kb_id == "7157"
-    assert relations[2].e2_kb_id == "HP:0000545"
+    # the third row, TP53-myopia, is not TRUE
+    assert labeled is True
+    assert sentences[0].positives == {("672", "HP:0000618")}
+    assert s1.positives == {("7157", "HP:0000365")}
 
 
 def test_pgr_mention_ids_are_stable(fixtures):
@@ -155,8 +151,21 @@ def test_pgr_header_missing_column_raises():
 
 def test_pgr_short_row_raises():
     header = "\t".join(COLUMN_MAP[k] for k in corpus.PGR_REQUIRED_KEYS)
-    with pytest.raises(MalformedLine):
+    with pytest.raises(MalformedLine, match="row 2: row too short for column 'gene_id'"):
         corpus.parse_pgr_tsv(io.StringIO(header + "\nPGR.s0\tshort row\n"), COLUMN_MAP)
+
+
+def test_pgr_short_row_names_the_first_mapped_column_past_its_end():
+    # every mapped column counts, read or not; an unmapped one does not
+    header = "\t".join([COLUMN_MAP[k] for k in corpus.PGR_REQUIRED_KEYS] + ["unused", "pmid"])
+    cells = ["PGR.s0", "BRCA1 mutations cause blindness.", "672", "BRCA1", "0", "5",
+             "HP:0000618", "blindness", "22", "31", "TRUE"]
+    full = "\t".join(cells + ["x", "1000"])
+    column_map = dict(COLUMN_MAP, doc_id="pmid")
+    for short, column in (("\t".join(cells), "pmid"), ("\t".join(cells[:8]), "hpo_off1")):
+        text = "\n".join([header, full, full, short]) + "\n"
+        with pytest.raises(MalformedLine, match=f"row 4: row too short for column '{column}'"):
+            corpus.parse_pgr_tsv(io.StringIO(text), column_map)
 
 
 def test_pgr_offset_mismatch_raises():
@@ -177,8 +186,10 @@ def test_pgr_non_truthy_token_is_negative():
         "672", "BRCA1", "0", "5",
         "HP:0000618", "blindness", "22", "31", "maybe",
     ])
-    _, relations = corpus.parse_pgr_tsv(io.StringIO(header + "\n" + row + "\n"), COLUMN_MAP)
-    assert relations[0].label == "negative"
+    sentences, labeled = corpus.parse_pgr_tsv(io.StringIO(header + "\n" + row + "\n"),
+                                              COLUMN_MAP)
+    assert labeled is True
+    assert sentences[0].positives == set()
 
 
 # --- PubTator ------------------------------------------------------------------
@@ -286,20 +297,20 @@ def test_projection_matches_recorded_enumeration(fixtures):
     spans = corpus.segment_sentences(
         document.text, [(m.char_start, m.char_end) for m in document.mentions]
     )
-    sentences, relations = corpus.project_document_relations(document, spans)
+    sentences, labeled = corpus.project_document_relations(document, spans)
 
     with open(fixtures / "cdr_corpus.expected.json", encoding="utf-8") as handle:
         expected = json.load(handle)
-    got_positive = [
-        [r.sentence_id, r.e1_kb_id, r.e2_kb_id]
-        for r in relations if r.label == "positive"
-    ]
-    got_negative = [
-        [r.sentence_id, r.e1_kb_id, r.e2_kb_id]
-        for r in relations if r.label == "negative"
-    ]
-    assert got_positive == expected["positives"]
-    assert got_negative == expected["negatives"]
+    # each recorded positive is its sentence's only positive; the recorded
+    # negative is a co-occurring pair left out (test_acceptance checks the
+    # labels the instances get)
+    want = {s.sentence_id: set() for s in sentences}
+    for sent_id, chemical, disease in expected["positives"]:
+        want[sent_id].add(corpus.pair_key(chemical, disease))
+    assert labeled is True
+    assert {s.sentence_id: s.positives for s in sentences} == want
+    for sent_id, chemical, disease in expected["negatives"]:
+        assert corpus.pair_key(chemical, disease) not in want[sent_id]
 
     assert [s.sentence_id for s in sentences] == ["100.s0", "100.s1", "100.s2"]
     for sentence in sentences:
@@ -313,7 +324,7 @@ def test_projection_counts_uncovered_mentions():
         text="Alpha beta. Gamma delta.",
         mentions=[
             corpus.EntityMention(
-                mention_id="9.m0", sentence_id="", char_start=6, char_end=17,
+                mention_id="9.m0", char_start=6, char_end=17,
                 surface="beta. Gamma", entity_type="chemical", kb_id="D1",
             )
         ],
@@ -322,7 +333,7 @@ def test_projection_counts_uncovered_mentions():
     spans = corpus.segment_sentences(doc.text)
     assert len(spans) == 2
     diagnostics = Counter()
-    sentences, relations = corpus.project_document_relations(doc, spans, diagnostics)
+    sentences, labeled = corpus.project_document_relations(doc, spans, diagnostics)
     assert diagnostics["mention_outside_sentence"] == 1
     assert all(not s.entities for s in sentences)
-    assert relations == []
+    assert labeled is False

@@ -30,12 +30,16 @@ def load_parses(path, sentences):
     }
 
 
+def read_ddi(fixtures, edit=lambda xml: xml):
+    """The DDI fixture corpus, its text passed through `edit` first."""
+    xml = edit((fixtures / "ddi_corpus.xml").read_text(encoding="utf-8"))
+    sentences, labeled = corpus_mod.parse_ddi_xml(io.StringIO(xml))
+    return sentences, labeled, load_parses(fixtures / "ddi_parses.conllu", sentences)
+
+
 @pytest.fixture(scope="module")
 def ddi_data(fixtures):
-    with open(fixtures / "ddi_corpus.xml", encoding="utf-8") as handle:
-        sentences, relations = corpus_mod.parse_ddi_xml(handle)
-    parses = load_parses(fixtures / "ddi_parses.conllu", sentences)
-    return sentences, relations, parses
+    return read_ddi(fixtures)
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +150,7 @@ def test_load_conllu_multiple_roots_counted():
 
 def mention(start, end, mid="m", etype="drug", kb="KB"):
     return EntityMention(
-        mention_id=mid, sentence_id="s", char_start=start, char_end=end,
+        mention_id=mid, char_start=start, char_end=end,
         surface="", entity_type=etype, kb_id=kb,
     )
 
@@ -351,10 +355,10 @@ def test_resolver_unconfigured_type_raises(ddi_resolver):
 
 
 def test_ddi_instances_complete_content(ddi_data, ddi_resolver, lexicon):
-    sentences, relations, parses = ddi_data
+    sentences, labeled, parses = ddi_data
     diagnostics = Counter()
     instances = inst.generate_instances(
-        sentences, relations, ("drug", "drug"), ddi_resolver, lexicon, parses,
+        sentences, labeled, ("drug", "drug"), ddi_resolver, lexicon, parses,
         diagnostics,
     )
     assert len(instances) == 3
@@ -391,10 +395,10 @@ def test_ddi_instances_complete_content(ddi_data, ddi_resolver, lexicon):
 
 def test_pgr_instances_complete_content(fixtures, pgr_resolver, lexicon):
     with open(fixtures / "pgr_corpus.tsv", encoding="utf-8") as handle:
-        sentences, relations = corpus_mod.parse_pgr_tsv(handle, COLUMN_MAP, ["TRUE"])
+        sentences, labeled = corpus_mod.parse_pgr_tsv(handle, COLUMN_MAP, ["TRUE"])
     parses = load_parses(fixtures / "pgr_parses.conllu", sentences)
     instances = inst.generate_instances(
-        sentences, relations, ("gene", "phenotype"), pgr_resolver, lexicon, parses
+        sentences, labeled, ("gene", "phenotype"), pgr_resolver, lexicon, parses
     )
     assert len(instances) == 3
 
@@ -431,17 +435,21 @@ def test_pgr_instances_complete_content(fixtures, pgr_resolver, lexicon):
     assert myopia.label == "negative"
 
 
-def test_cdr_instances_complete_content(fixtures, cdr_resolver, lexicon):
-    with open(fixtures / "cdr_corpus.txt", encoding="utf-8") as handle:
-        document = corpus_mod.parse_pubtator(handle)[0]
+def cdr_instances(fixtures, cdr_resolver, lexicon, text):
+    document = corpus_mod.parse_pubtator(io.StringIO(text))[0]
     spans = corpus_mod.segment_sentences(
         document.text, [(m.char_start, m.char_end) for m in document.mentions]
     )
-    sentences, relations = corpus_mod.project_document_relations(document, spans)
+    sentences, labeled = corpus_mod.project_document_relations(document, spans)
     parses = load_parses(fixtures / "cdr_parses.conllu", sentences)
-    instances = inst.generate_instances(
-        sentences, relations, ("chemical", "disease"), cdr_resolver, lexicon, parses
+    return inst.generate_instances(
+        sentences, labeled, ("chemical", "disease"), cdr_resolver, lexicon, parses
     )
+
+
+def test_cdr_instances_complete_content(fixtures, cdr_resolver, lexicon):
+    text = (fixtures / "cdr_corpus.txt").read_text(encoding="utf-8")
+    instances = cdr_instances(fixtures, cdr_resolver, lexicon, text)
     assert len(instances) == 3
     assert [i.label for i in instances] == ["positive", "positive", "negative"]
 
@@ -469,7 +477,7 @@ def test_cdr_instances_complete_content(fixtures, cdr_resolver, lexicon):
 
 
 def test_self_pair_skipped_with_diagnostic(ddi_resolver, lexicon):
-    record = SentenceRecord(sentence_id="x.s0", doc_id="x", text="aspirin and aspirin.")
+    record = SentenceRecord(sentence_id="x.s0", text="aspirin and aspirin.")
     record.entities = [
         mention(0, 7, mid="x.s0.e0", kb="aspirin"),
         mention(12, 19, mid="x.s0.e1", kb="aspirin"),
@@ -485,28 +493,28 @@ def test_self_pair_skipped_with_diagnostic(ddi_resolver, lexicon):
     )}
     diagnostics = Counter()
     instances = inst.generate_instances(
-        [record], [], ("drug", "drug"), ddi_resolver, lexicon, parses, diagnostics
+        [record], False, ("drug", "drug"), ddi_resolver, lexicon, parses, diagnostics
     )
     assert instances == []
     assert diagnostics == {"self_pair": 1}
 
 
 def test_missing_parse_skipped_with_diagnostic(ddi_resolver, lexicon):
-    record = SentenceRecord(sentence_id="x.s0", doc_id="x", text="aspirin, warfarin.")
+    record = SentenceRecord(sentence_id="x.s0", text="aspirin, warfarin.")
     record.entities = [
         mention(0, 7, mid="x.s0.e0", kb="aspirin"),
         mention(9, 17, mid="x.s0.e1", kb="warfarin"),
     ]
     diagnostics = Counter()
     instances = inst.generate_instances(
-        [record], [], ("drug", "drug"), ddi_resolver, lexicon, {}, diagnostics
+        [record], False, ("drug", "drug"), ddi_resolver, lexicon, {}, diagnostics
     )
     assert instances == []
     assert diagnostics == {"missing_parse": 1}
 
 
 def test_unmappable_entity_skipped_with_diagnostic(ddi_resolver, lexicon):
-    record = SentenceRecord(sentence_id="x.s0", doc_id="x", text="aspirin helps tea.")
+    record = SentenceRecord(sentence_id="x.s0", text="aspirin helps tea.")
     record.entities = [
         mention(0, 7, mid="x.s0.e0", kb="aspirin"),
         mention(14, 17, mid="x.s0.e1", kb="tea"),
@@ -522,14 +530,14 @@ def test_unmappable_entity_skipped_with_diagnostic(ddi_resolver, lexicon):
     )}
     diagnostics = Counter()
     instances = inst.generate_instances(
-        [record], [], ("drug", "drug"), ddi_resolver, lexicon, parses, diagnostics
+        [record], False, ("drug", "drug"), ddi_resolver, lexicon, parses, diagnostics
     )
     assert instances == []
     assert diagnostics == {"unmappable_entity": 1}
 
 
 def test_shared_head_token_counts_as_disconnected(ddi_resolver, lexicon):
-    record = SentenceRecord(sentence_id="x.s0", doc_id="x", text="aspirin warfarin.")
+    record = SentenceRecord(sentence_id="x.s0", text="aspirin warfarin.")
     # both mentions overlap the same single token
     record.entities = [
         mention(0, 16, mid="x.s0.e0", kb="aspirin"),
@@ -542,37 +550,59 @@ def test_shared_head_token_counts_as_disconnected(ddi_resolver, lexicon):
     )}
     diagnostics = Counter()
     instances = inst.generate_instances(
-        [record], [], ("drug", "drug"), ddi_resolver, lexicon, parses, diagnostics
+        [record], False, ("drug", "drug"), ddi_resolver, lexicon, parses, diagnostics
     )
     assert instances == []
     assert diagnostics == {"disconnected": 1}
 
 
-def test_unlabeled_mode_without_relations(ddi_data, ddi_resolver, lexicon):
-    sentences, _, parses = ddi_data
+def ddi_labels(fixtures, ddi_resolver, lexicon, edit):
+    sentences, labeled, parses = read_ddi(fixtures, edit)
     instances = inst.generate_instances(
-        sentences, [], ("drug", "drug"), ddi_resolver, lexicon, parses
+        sentences, labeled, ("drug", "drug"), ddi_resolver, lexicon, parses
     )
-    assert [i.label for i in instances] == ["unlabeled"] * 3
+    return labeled, [i.label for i in instances]
 
 
-def test_duplicate_gold_positive_wins(ddi_data, ddi_resolver, lexicon):
-    sentences, relations, parses = ddi_data
-    flipped = [r for r in relations]
-    negative_dup = corpus_mod.GoldRelation(
-        e1_kb_id="warfarin", e2_kb_id="Aspirin",
-        sentence_id="DDI-FIX.d0.s0", label="negative",
-    )
-    # the duplicate negative must not override the positive, in either order
-    for ordering in ([negative_dup] + flipped, flipped + [negative_dup]):
-        instances = inst.generate_instances(
-            sentences, ordering, ("drug", "drug"), ddi_resolver, lexicon, parses
-        )
-        assert instances[0].label == "positive"
+def test_unlabeled_mode_without_relations(fixtures, ddi_resolver, lexicon):
+    # a DDI file without any <pair> element carries no gold
+    def drop_pairs(xml):
+        return "".join(line for line in xml.splitlines(keepends=True) if "<pair " not in line)
+
+    assert ddi_labels(fixtures, ddi_resolver, lexicon, drop_pairs) == (
+        False, ["unlabeled"] * 3)
+
+
+def test_ddi_pairs_all_false_are_all_negative(fixtures, ddi_resolver, lexicon):
+    def all_false(xml):
+        return xml.replace('ddi="true"', 'ddi="false"')
+
+    assert ddi_labels(fixtures, ddi_resolver, lexicon, all_false) == (
+        True, ["negative"] * 3)
+
+
+def test_pubtator_without_cid_lines_is_all_negative(fixtures, cdr_resolver, lexicon):
+    text = (fixtures / "cdr_corpus.txt").read_text(encoding="utf-8")
+    no_cid = "".join(line for line in text.splitlines(keepends=True) if "\tCID\t" not in line)
+    instances = cdr_instances(fixtures, cdr_resolver, lexicon, no_cid)
+    assert [i.label for i in instances] == ["negative"] * 3
+
+
+def test_duplicate_gold_positive_wins(fixtures, ddi_resolver, lexicon):
+    # a reversed warfarin-Aspirin pair marked ddi="false" must not override
+    # the positive Aspirin-warfarin pair, whichever comes first
+    negative_dup = ('<pair id="DDI-FIX.d0.s0.p3" e1="DDI-FIX.d0.s0.e1" '
+                    'e2="DDI-FIX.d0.s0.e0" ddi="false"/>')
+    first_pair = '<pair id="DDI-FIX.d0.s0.p0"'
+    for edit in (lambda xml: xml.replace(first_pair, negative_dup + first_pair),
+                 lambda xml: xml.replace("</sentence>", negative_dup + "</sentence>", 1)):
+        assert negative_dup in edit((fixtures / "ddi_corpus.xml").read_text(encoding="utf-8"))
+        assert ddi_labels(fixtures, ddi_resolver, lexicon, edit) == (
+            True, ["positive", "positive", "negative"])
 
 
 def test_gene_fallback_root_diagnostic(pgr_resolver, lexicon):
-    record = SentenceRecord(sentence_id="g.s0", doc_id="g", text="GENEX causes pain.")
+    record = SentenceRecord(sentence_id="g.s0", text="GENEX causes pain.")
     record.entities = [
         mention(0, 5, mid="g.s0.e0", etype="gene", kb="7777"),
         mention(13, 17, mid="g.s0.e1", etype="phenotype", kb="HP:0000618"),
@@ -588,7 +618,7 @@ def test_gene_fallback_root_diagnostic(pgr_resolver, lexicon):
     )}
     diagnostics = Counter()
     instances = inst.generate_instances(
-        [record], [], ("gene", "phenotype"), pgr_resolver, lexicon, parses, diagnostics
+        [record], False, ("gene", "phenotype"), pgr_resolver, lexicon, parses, diagnostics
     )
     assert len(instances) == 1
     assert instances[0].left_chain == ["GO:0000001"]
@@ -596,9 +626,9 @@ def test_gene_fallback_root_diagnostic(pgr_resolver, lexicon):
 
 
 def test_instances_dump_round_trip(ddi_data, ddi_resolver, lexicon):
-    sentences, relations, parses = ddi_data
+    sentences, labeled, parses = ddi_data
     instances = inst.generate_instances(
-        sentences, relations, ("drug", "drug"), ddi_resolver, lexicon, parses
+        sentences, labeled, ("drug", "drug"), ddi_resolver, lexicon, parses
     )
     buffer = io.StringIO()
     inst.dump_instances(instances, buffer)

@@ -2,6 +2,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -477,6 +478,55 @@ def test_cli_preprocess_refuses_a_document_listed_twice(
     assert run_cli("preprocess", "--config", str(config), "--out", str(out)) == 2
     err = capsys.readouterr().err
     assert f"error: instance id {instance_id} would be emitted twice" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def ddi_document_copied(fixtures, tmp_path, edit):
+    """The DDI fixture corpus with a second document: a copy of the first
+    under fresh document, entity and pair ids (its sentence ids kept),
+    passed through `edit`."""
+    text = (fixtures / "ddi_corpus.xml").read_text(encoding="utf-8")
+    declaration, _, document = text.partition("\n")
+    copy = edit(re.sub(r'"DDI-FIX\.d0(\.s\d\.[ep]\d)?"', r'"DDI-FIX.d1\1"', document))
+    path = tmp_path / "ddi_corpus.xml"
+    path.write_text(f"{declaration}\n<corpus>\n{document}{copy}</corpus>\n", encoding="utf-8")
+    return path
+
+
+def test_cli_ddi_sentence_id_shared_by_two_documents_keeps_each_ones_gold(
+        fixtures, tmp_path, capsys):
+    # gold used to be grouped by sentence id, so the copy's ddi="false"
+    # pairs came out positive
+    corpus = ddi_document_copied(fixtures, tmp_path,
+                                 lambda xml: xml.replace('ddi="true"', 'ddi="false"'))
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json",
+                                mutate={"corpus_path": str(corpus)})
+    out = tmp_path / "x.jsonl"
+    assert run_cli("preprocess", "--config", str(config), "--out", str(out)) == 0
+    labels = {row["instance_id"]: row["label"] for row in map(
+        json.loads, out.read_text(encoding="utf-8").splitlines())}
+    assert labels == {
+        "DDI-FIX.d0.s0.e0__DDI-FIX.d0.s0.e1": "positive",
+        "DDI-FIX.d0.s0.e0__DDI-FIX.d0.s0.e2": "positive",
+        "DDI-FIX.d0.s0.e1__DDI-FIX.d0.s0.e2": "negative",
+        "DDI-FIX.d1.s0.e0__DDI-FIX.d1.s0.e1": "negative",
+        "DDI-FIX.d1.s0.e0__DDI-FIX.d1.s0.e2": "negative",
+        "DDI-FIX.d1.s0.e1__DDI-FIX.d1.s0.e2": "negative",
+    }
+
+
+def test_cli_ddi_sentence_id_repeated_with_another_text_exits_two(fixtures, tmp_path, capsys):
+    # parses are looked up by sentence id, so the copy's text was aligned
+    # against the parse of the first text
+    corpus = ddi_document_copied(fixtures, tmp_path,
+                                 lambda xml: xml.replace("increases", "decreases"))
+    config = materialize_config(fixtures, tmp_path, "ddi.config.json",
+                                mutate={"corpus_path": str(corpus)})
+    out = tmp_path / "x.jsonl"
+    assert run_cli("preprocess", "--config", str(config), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "error: sentence DDI-FIX.d0.s0 repeats with a different text" in err
     assert "Traceback" not in err
     assert not out.exists()
 
