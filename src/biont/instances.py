@@ -255,11 +255,15 @@ class SupersenseLexicon:
     """
 
     def __init__(self, classes: Iterable[str], entries: dict[str, str]):
-        self.classes = set(classes) | {DEFAULT_CLASS}
+        # entries hold the declared class strings, one object per class
+        declared = {cls: cls for cls in (*classes, DEFAULT_CLASS)}
+        self.classes = set(declared)
+        self.entries: dict[str, str] = {}
         for lemma, cls in entries.items():
-            if cls not in self.classes:
+            shared = declared.get(cls)
+            if shared is None:
                 raise MalformedLine(f"class {cls!r} for {lemma!r} not declared in header")
-        self.entries = dict(entries)
+            self.entries[lemma] = shared
 
     def lookup(self, lemma: str) -> str:
         return self.entries.get(lemma.lower(), DEFAULT_CLASS)

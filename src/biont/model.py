@@ -49,6 +49,7 @@ MODEL_VERSION = "3"
 _INIT_SCALE = 0.08
 _HEX_BLOCK = 2**16  # bytes of tensor data per hex piece
 _EVAL_ROWS = 256  # most rows per `forward` chunk
+_COPY_ROWS = 4096  # most vector rows per `pretrained_embedding` copy
 
 
 @dataclass
@@ -365,7 +366,12 @@ def pretrained_embedding(
     source = dict(zip(map(vocab.get, words), range(len(words))))
     source.pop(None, None)
     rows = np.fromiter(source, dtype=np.intp, count=len(source))
-    matrix[rows] = vectors[np.fromiter(source.values(), dtype=np.intp, count=len(source))]
+    lines = np.fromiter(source.values(), dtype=np.intp, count=len(source))
+    # each row appears once, so no block overwrites another; copying in
+    # blocks bounds the gathered temporary to `_COPY_ROWS` rows
+    for start in range(0, len(rows), _COPY_ROWS):
+        block = slice(start, start + _COPY_ROWS)
+        matrix[rows[block]] = vectors[lines[block]]
     matrix[PAD_INDEX] = 0.0
 
 

@@ -259,22 +259,31 @@ def parse_gaf(stream: Iterable[str] | TextIO) -> dict[str, list[tuple[str, str]]
     Lines starting with "!" are comments.  Columns used (1-based): 2 gene id,
     4 qualifier, 5 concept id, 7 evidence code.  Every line is checked (column
     count, then evidence code) before a record whose qualifier contains NOT
-    is dropped.  Each gene's pairs keep file order.
+    is dropped.  Each gene's pairs keep file order.  Equal concept ids share
+    one string, as do equal evidence codes, so the table grows with the
+    records but not with their text.
     """
     annotations: dict[str, list[tuple[str, str]]] = {}
+    concepts: dict[str, str] = {}
+    codes: dict[str, str] = {}  # only codes that passed the check
     for lineno, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n")
         if not line.strip() or line.startswith("!"):
             continue
-        cols = line.split("\t")
+        cols = line.split("\t", 7)  # columns past the 7th are never read
         if len(cols) < 7:
             raise MalformedLine(f"GAF line {lineno}: expected >= 7 columns, got {len(cols)}")
         evidence = cols[6].strip()
-        if not (2 <= len(evidence) <= 4 and evidence.isalpha() and evidence.isupper()):
-            raise MalformedLine(f"GAF line {lineno}: bad evidence code {evidence!r}")
+        code = codes.get(evidence)
+        if code is None:
+            if not (2 <= len(evidence) <= 4 and evidence.isalpha() and evidence.isupper()):
+                raise MalformedLine(f"GAF line {lineno}: bad evidence code {evidence!r}")
+            code = codes[evidence] = evidence
         if "NOT" in cols[3]:
             continue
-        annotations.setdefault(cols[1].strip(), []).append((cols[4].strip(), evidence))
+        concept = cols[4].strip()
+        concept = concepts.setdefault(concept, concept)
+        annotations.setdefault(cols[1].strip(), []).append((concept, code))
     return annotations
 
 

@@ -4,8 +4,8 @@ These deliberately use different algorithms from the package: fixed-point
 iteration for the ancestor closure, memoized top-down recursion for depths,
 whole-text stanza dicts and edge relaxation for OBO files, root-chain
 splicing for tree paths, central finite differences for gradients,
-per-row scalar loops for the model's forward pass, and a float()-per-token
-line scan for word-vector files.
+per-row scalar loops for the model's forward pass, a float()-per-token
+line scan for word-vector files, and a full split of every GAF line.
 """
 from __future__ import annotations
 
@@ -20,6 +20,7 @@ from biont.errors import (
     DataError,
     DimensionMismatch,
     DuplicateId,
+    MalformedLine,
     MalformedStanza,
     MalformedVectorLine,
 )
@@ -369,3 +370,58 @@ def reference_load_word_vectors(stream, embed_dim: int) -> tuple[list[str], np.n
     if count is not None and count != len(words):
         raise MalformedVectorLine(f"header count {count} vs {len(words)} vector lines")
     return words, matrix
+
+
+GAF_CODES = ("EXP", "IDA", "IPI", "IMP", "IGI", "IEP", "IEA", "ISS", "TAS", "NAS", "IC", "ND")
+GAF_QUALIFIERS = ("", "", "", "NOT", "NOT|contributes_to", "contributes_to", "colocalizes_with")
+GAF_FAULTS = ("short_line", "bad_code_on_not_line", "bad_code_after_valid_lines")
+
+
+def reference_parse_gaf(text: str) -> dict[str, list[tuple[str, str]]]:
+    """GAF records by splitting each whole line on every tab and stripping
+    every column, with no string shared between records; the first bad line
+    raises with its number."""
+    table: dict[str, list[tuple[str, str]]] = {}
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip() or line.startswith("!"):
+            continue
+        cols = [col.strip() for col in line.split("\t")]
+        if len(cols) < 7:
+            raise MalformedLine(f"GAF line {lineno}: expected >= 7 columns, got {len(cols)}")
+        gene, qualifier, concept, evidence = cols[1], cols[3], cols[4], cols[6]
+        if not (2 <= len(evidence) <= 4 and evidence.isalpha() and evidence.isupper()):
+            raise MalformedLine(f"GAF line {lineno}: bad evidence code {evidence!r}")
+        if "NOT" not in qualifier:
+            table.setdefault(gene, []).append((concept, evidence))
+    return table
+
+
+def random_gaf_text(rng: np.random.Generator, n_lines: int, n_genes: int = 12,
+                    n_concepts: int = 30, fault: str | None = None) -> str:
+    """A GAF text of `n_lines` records from few genes, concepts and codes,
+    with comments, blank lines, NOT qualifiers, 7 to 17 columns, padded
+    fields and CRLF endings mixed in.  `fault` (one of GAF_FAULTS) plants
+    one bad line past the first half of the records."""
+
+    def pad(value: str) -> str:
+        return " " * int(rng.integers(0, 3)) + value + " " * int(rng.integers(0, 3))
+
+    lines = ["!gaf-version: 2.2"]
+    bad_at = int(rng.integers(n_lines // 2, n_lines)) if fault else -1
+    for k in range(n_lines):
+        if rng.random() < 0.05:
+            lines.append(str(rng.choice(["", "! a comment\tNOT\tIDA", "  ", "\r"])))
+        cols = ["UniProtKB", pad(f"G{int(rng.integers(n_genes))}"), "SYM",
+                str(rng.choice(GAF_QUALIFIERS)), pad(f"GO:{int(rng.integers(n_concepts)):07d}"),
+                "PMID:1", pad(str(rng.choice(GAF_CODES)))]
+        cols += [str(rng.choice(["P", "NOT", "IDA", " ", "taxon:9606"]))
+                 for _ in range(int(rng.integers(0, 11)))]
+        if k == bad_at:
+            if fault == "short_line":
+                cols = cols[:int(rng.integers(1, 7))]
+            else:
+                cols[6] = pad(str(rng.choice(["ida", "I", "ABCDE", "ID4", "GO:1"])))
+                if fault == "bad_code_on_not_line":
+                    cols[3] = "NOT"
+        lines.append("\t".join(cols) + ("\r" if rng.random() < 0.3 else ""))
+    return "\n".join(lines) + "\n"

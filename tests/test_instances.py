@@ -266,6 +266,18 @@ def test_lexicon_rejects_undeclared_class():
         inst.load_lexicon(io.StringIO(text))
 
 
+def test_lexicon_entries_share_the_declared_class_strings():
+    classes = ["verb.change", "noun.state", "noun.food", "O"]
+    text = "#classes: " + ",".join(classes) + "\n" + "".join(
+        f"lemma{k}\t {classes[k % 4]}\n" for k in range(400))
+    lexicon = inst.load_lexicon(io.StringIO(text))
+    shared = {}
+    for lemma, cls in lexicon.entries.items():
+        assert shared.setdefault(cls, cls) is cls
+        assert lexicon.lookup(lemma) is cls
+    assert sorted(shared) == sorted(classes)
+
+
 def test_lexicon_lookup_is_case_insensitive(lexicon):
     assert lexicon.lookup("Cause") == "verb.change"
     assert lexicon.lookup("unheard-of") == "O"

@@ -225,11 +225,19 @@ def test_word_vectors_duplicate_word_keeps_first_position_and_last_vector():
 
 
 def test_pretrained_embedding_matches_row_loop():
-    # the loop it replaced is the reference: repeated words, unknown words
+    # the loop it replaced is the reference: two full copy blocks of known
+    # words and a remainder, unknown words, repeated words, and a "<pad>" line
+    block = m._COPY_ROWS
     rng = np.random.default_rng(3)
-    words = [f"w{k}" for k in rng.integers(0, 40, size=60)]
-    vectors = rng.normal(size=(60, 4))
-    vocab = {"<pad>": 0, "<oov>": 1, **{f"w{k}": 2 + k // 2 for k in range(0, 40, 2)}}
+    known = [f"w{k}" for k in range(2 * block + 37)]
+    words = list(known)
+    for k in sorted(rng.choice(len(words), size=300, replace=False), reverse=True):
+        words.insert(int(k), f"unknown{k}")
+    words.insert(block + 40, known[block - 5])  # its first line is in the first block
+    words.insert(7, "<pad>")
+    words += [known[k] for k in rng.integers(0, len(known), size=20)]
+    vectors = rng.normal(size=(len(words), 4))
+    vocab = {"<pad>": 0, "<oov>": 1, **{w: 2 + k for k, w in enumerate(known + ["spare"])}}
     want = np.random.default_rng(9).uniform(-0.08, 0.08, size=(len(vocab), 4))
     for word, vector in zip(words, vectors):
         if word in vocab:
@@ -238,6 +246,26 @@ def test_pretrained_embedding_matches_row_loop():
     matrix = np.random.default_rng(9).uniform(-0.08, 0.08, size=(len(vocab), 4))
     m.pretrained_embedding(matrix, words, vectors, vocab)
     assert matrix.tobytes() == want.tobytes()
+    last = len(words) - 1 - words[::-1].index(known[block - 5])
+    assert last > block + 5 and matrix[vocab[known[block - 5]]].tolist() == vectors[last].tolist()
+    assert not matrix[0].any()
+
+
+def test_pretrained_embedding_peak_memory_stays_below_the_vectors():
+    # one gather of every matched row peaks at ~1.39x the vector matrix;
+    # copying in blocks peaks at ~0.47x, mostly the word -> row table
+    words = [f"w{k}" for k in range(50_000)]
+    vectors = np.random.default_rng(4).normal(size=(50_000, 32))
+    vocab = {"<pad>": 0, "<oov>": 1, **{w: 2 + k for k, w in enumerate(words)}}
+    matrix = np.zeros((len(vocab), 32))
+    tracemalloc.start()
+    try:
+        m.pretrained_embedding(matrix, words, vectors, vocab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert matrix[2:].tobytes() == vectors.tobytes()
+    assert peak < 0.75 * vectors.nbytes, peak / vectors.nbytes
 
 
 def test_load_word_vectors_header_dim_mismatch_raises():

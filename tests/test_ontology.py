@@ -19,10 +19,13 @@ from biont.errors import (
     UnknownConcept,
 )
 from oracle_helpers import (
+    GAF_FAULTS,
     closure_ancestors,
     dag_to_obo,
     longest_path_to_root,
     random_dag,
+    random_gaf_text,
+    reference_parse_gaf,
     reference_parse_obo,
 )
 
@@ -510,6 +513,58 @@ def test_parse_gaf_negated_line_with_bad_evidence_code_raises():
     # a NOT record is dropped only after its line passes every check
     with pytest.raises(MalformedLine, match="bad evidence code"):
         ontology.parse_gaf(io.StringIO(gaf_line("g1", "GO:0000001", "ida", "NOT")))
+
+
+def test_parse_gaf_matches_reference_reader():
+    for seed in range(40):
+        text = random_gaf_text(np.random.default_rng(seed), n_lines=int(20 + 7 * seed))
+        assert ontology.parse_gaf(io.StringIO(text)) == reference_parse_gaf(text)
+
+
+@pytest.mark.parametrize("fault", GAF_FAULTS)
+def test_parse_gaf_faults_raise_like_reference_reader(fault):
+    for seed in range(20):
+        text = random_gaf_text(np.random.default_rng(seed), n_lines=60, fault=fault)
+        with pytest.raises(MalformedLine) as want:
+            reference_parse_gaf(text)
+        with pytest.raises(MalformedLine) as got:
+            ontology.parse_gaf(io.StringIO(text))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+
+def test_parse_gaf_records_share_equal_strings():
+    table = ontology.parse_gaf(io.StringIO(random_gaf_text(np.random.default_rng(5), 400)))
+    concepts, codes = {}, {}
+    for records in table.values():
+        for concept, code in records:
+            assert concepts.setdefault(concept, concept) is concept
+            assert codes.setdefault(code, code) is code
+    assert sum(map(len, table.values())) > 4 * len(concepts)  # ids repeat
+
+
+def held_gaf_bytes(text):
+    """Bytes the table `parse_gaf` returns for `text` holds, and its records."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        table = ontology.parse_gaf(io.StringIO(text))  # alive while measured
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held, sum(map(len, table.values()))
+
+
+def test_parsed_gaf_holds_no_string_per_record():
+    # 20,000 records of 200 genes, 500 concepts and 12 codes: each record
+    # costs its tuple and list slot (~65 bytes); a record holding its own
+    # concept and code strings costs ~175
+    text = random_gaf_text(np.random.default_rng(8), 20_000, n_genes=200, n_concepts=500)
+    held, records = held_gaf_bytes(text)
+    assert records > 10_000
+    assert held / records < 100
 
 
 # --- representative concept ---------------------------------------------------
